@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -110,34 +109,67 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def reduced_echelon(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns ``(rows, pivots)``.  Row ``r < len(pivots)`` holds the common
+    pivot value ``d`` in column ``pivots[r]``, every pivot column is zero
+    in the other rows, and the rows past the rank are zero.  Every entry
+    stays a minor of the input, so each division by the previous pivot is
+    exact (Bareiss) and ``d`` is, up to sign, the determinant of the
+    pivot block.
+    """
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            q = rows[i][c]
+            if q:
+                rows[i] = [(p * x - q * y) // prev for x, y in zip(rows[i], prow)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in rows[i]]
+        pivots.append(c)
+        prev = p
+    return rows, pivots
+
+
+def kernel_basis(m: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
+    """Integer basis of the rational kernel of ``m``, one vector per free column.
+
+    ``ncols`` gives the width, so a matrix without rows has the standard
+    basis as its kernel.
+    """
+    rows, pivots = reduced_echelon(m)
+    d = rows[0][pivots[0]] if pivots else 1
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = d
+        for r, c in enumerate(pivots):
+            x[c] = -rows[r][f]
+        out.append(tuple(x))
+    return out
+
+
 def matrix_rank(m: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix, computed without division errors."""
-    rows = [list(r) for r in m if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        p = prow[c]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                q = rows[i][c]
-                new = [p * rows[i][j] - q * prow[j] for j in range(ncols)]
-                g = content(new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(reduced_echelon(m)[1])
 
 
 def is_unimodular_basis(vectors: Iterable[Sequence[int]]) -> bool:
@@ -158,35 +190,15 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeMismatchError("inverse needs a square matrix")
-    aug = [
-        [Fraction(m[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        p = aug[c][c]
-        aug[c] = [x / p for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    inv = []
-    for row in aug:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(x))
-        inv.append(tuple(ints))
-    return tuple(inv)
+    aug = [list(m[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    rows, pivots = reduced_echelon(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    d = rows[0][0] if rows else 1
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    # rows hold [d*I | d*m^-1], and d == 1/d
+    return tuple(tuple(d * x for x in row[n:]) for row in rows)
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:

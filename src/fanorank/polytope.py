@@ -4,29 +4,33 @@ A Fano polytope is a full-dimensional lattice polytope with primitive
 vertices and the origin as its only interior lattice point.  The smooth
 ones (every facet's vertex set a lattice basis) encode nonsingular toric
 Fano varieties through their face fans.  This module owns the polytope
-side of that dictionary: facet enumeration by exhaustive hyperplane
-search, validation of the smooth Fano conditions, a canonical form for
-unimodular-equivalence tests, and the standard constructions (simplices,
-the hexagon, free sums).
+side of that dictionary: facet enumeration by exact ridge pivoting
+(gift-wrapping, Chand and Kapur 1970), validation of the smooth Fano
+conditions, a canonical form for unimodular-equivalence tests, and the
+standard constructions (simplices, the hexagon, free sums).  Inputs the
+walk cannot finish (non-simplicial hulls, points that are not vertices,
+the origin on a facet hyperplane) go to an exhaustive hyperplane scan,
+which gathers the evidence the validation report quotes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Container, Iterable, Sequence
 
 from .lattice import (
     ShapeMismatchError,
     Vector,
     content,
     determinant,
+    kernel_basis,
     mat_vec,
     matrix_rank,
     primitive_part,
+    reduced_echelon,
     unimodular_inverse,
 )
 
@@ -39,53 +43,198 @@ class BadIndexError(IndexError):
     """A vertex index is out of range."""
 
 
+Facet = tuple[tuple[int, ...], Vector, int]
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
 def _affine_normal(pts: Sequence[Vector]) -> Vector | None:
     """Primitive integer normal of the affine hull of ``n`` points in Z^n.
 
     Returns None when the points do not span a hyperplane.
     """
-    n = len(pts[0])
-    if n == 1:
-        return (1,)
     base = pts[0]
-    rows = [[q[k] - base[k] for k in range(n)] for q in pts[1:]]
-    nrows = n - 1
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
+    diffs = [[a - b for a, b in zip(q, base)] for q in pts[1:]]
+    kernel = kernel_basis(diffs, len(base))
+    return primitive_part(kernel[0]) if len(kernel) == 1 else None
+
+
+def _exhaustive_scan(verts: Sequence[Vector], n: int) -> tuple[list[Facet], list]:
+    """Supporting-hyperplane search over all n-subsets of the points.
+
+    Returns (facets, evidence) where facets lists (indices, outward
+    normal, offset) triples with every other point strictly below the
+    hyperplane, in the order of the subsets, and evidence lists one-sided
+    hyperplanes that contain extra points as (indices, extra indices,
+    offset), the witnesses against simpliciality.  Offsets are oriented
+    so the points lie on the side ``<= c``.  The cost is C(m, n)
+    hyperplanes, each tested against every point.
+    """
+    m = len(verts)
+    facets = []
+    evidence = []
+    allidx = range(m)
+    for subset in combinations(allidx, n):
+        pts = [verts[i] for i in subset]
+        u = _affine_normal(pts)
+        if u is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(r + 1, nrows):
-            if rows[i][c]:
-                q = rows[i][c]
-                new = [p * rows[i][k] - q * prow[k] for k in range(n)]
-                g = content(new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if r < nrows:
+        c = _dot(u, pts[0])
+        chosen = set(subset)
+        above = below = False
+        on: list[int] = []
+        for w in allidx:
+            if w in chosen:
+                continue
+            t = _dot(u, verts[w])
+            if t > c:
+                above = True
+                if below:
+                    break
+            elif t < c:
+                below = True
+                if above:
+                    break
+            else:
+                on.append(w)
+        if above and below:
+            continue
+        if above:
+            u = tuple(-x for x in u)
+            c = -c
+        if on:
+            evidence.append((subset, tuple(on), c))
+        else:
+            facets.append((subset, u, c))
+    return facets, evidence
+
+
+def _widest_pivot(
+    u: Sequence[int],
+    c: int,
+    heights: Sequence[int],
+    v: Sequence[int],
+    delta: int,
+    verts: Sequence[Vector],
+    skip: Container[int],
+) -> tuple[Vector, int, list[int]] | None:
+    """Rotate the hyperplane ``u.x = c`` about its meet with ``v.x = delta``.
+
+    ``heights[w]`` is ``c - u.w``, which must be positive for every point
+    outside ``skip``.  The rotated hyperplane ``b u + a v`` (offset
+    ``b c + a delta``) is the first of the pencil to touch another point:
+    for a point ``w``, ``a = c - u.w`` and ``b = v.w - delta``, and the
+    touching points are those of largest ``b / a``, compared by
+    cross-multiplication.  Returns (primitive normal, offset, touching
+    points), or None when a point outside ``skip`` is not strictly below
+    ``u.x = c`` or no point is left.
+    """
+    best_a, best_b = 1, None
+    touching: list[int] = []
+    for w, vert in enumerate(verts):
+        if w in skip:
+            continue
+        a = heights[w]
+        if a <= 0:
+            return None
+        b = _dot(v, vert) - delta
+        if best_b is None or b * best_a > best_b * a:
+            best_a, best_b, touching = a, b, [w]
+        elif b * best_a == best_b * a:
+            touching.append(w)
+    if best_b is None:
         return None
-    free = next(c for c in range(n) if c not in piv_cols)
-    x: list[Fraction] = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for i in reversed(range(nrows)):
-        c = piv_cols[i]
-        s = sum((rows[i][k] * x[k] for k in range(c + 1, n) if x[k]), Fraction(0))
-        x[c] = -s / rows[i][c]
-    scale = 1
-    for xi in x:
-        scale = scale * xi.denominator // math.gcd(scale, xi.denominator)
-    return primitive_part(tuple(int(xi * scale) for xi in x))
+    normal = [best_b * x + best_a * y for x, y in zip(u, v)]
+    g = content(normal)
+    return tuple(x // g for x in normal), (best_b * c + best_a * delta) // g, touching
+
+
+def _first_facet(verts: Sequence[Vector], n: int) -> Facet | None:
+    """One facet, found by pivoting a hyperplane until it holds n points.
+
+    The start touches only the lexicographically largest point: its
+    normal ``(M^(n-1), ..., M, 1)`` orders the points lexicographically
+    once ``M`` exceeds every coordinate difference.  Each pivot rotates
+    the hyperplane about the face it touches, towards a direction that is
+    constant on that face, so it keeps touching only points of one face
+    and gains at least one.  Returns None when the touched points are
+    affinely dependent or more than n, which no simplicial hull whose
+    points are all vertices allows, or when the points are not
+    full-dimensional.
+    """
+    top = max(range(len(verts)), key=verts.__getitem__)
+    big = 2 * max(abs(x) for vert in verts for x in vert) + 1
+    u = tuple(big ** (n - 1 - k) for k in range(n))
+    c = _dot(u, verts[top])
+    face = [top]
+    while True:
+        base = verts[face[0]]
+        kernel = kernel_basis([[a - b for a, b in zip(verts[i], base)] for i in face[1:]], n)
+        if len(kernel) != n + 1 - len(face):
+            return None
+        if len(face) == n:
+            return tuple(sorted(face)), u, c
+        v = next(x for x in kernel if matrix_rank((u, x)) == 2)
+        heights = [c - _dot(u, vert) for vert in verts]
+        pivot = _widest_pivot(u, c, heights, v, _dot(v, base), verts, set(face))
+        if pivot is None:
+            return None
+        u, c, touching = pivot
+        face += touching
+
+
+def _pivot_walk(verts: Sequence[Vector], n: int) -> list[Facet] | None:
+    """All facets of a simplicial hull by crossing each ridge exactly once.
+
+    From a facet with outward normal ``u`` and offset ``c``, one
+    fraction-free Gauss-Jordan elimination of its vertex matrix gives the
+    dual rows ``phi_i`` with ``phi_i . p_j = 0`` for ``j != i`` and
+    ``phi_i . p_i > 0``; ``phi_i`` vanishes on the ridge opposite vertex
+    ``i``, so the neighbouring facet across that ridge is the widest
+    pivot of ``u`` towards ``v = -phi_i``.  Returns the facets as
+    (indices, outward normal, offset) in index order, exactly the
+    triples of ``_exhaustive_scan``, or None where that scan must decide:
+    a tie for the pivot (more than n points on a facet hyperplane), a
+    point other than the facet's own on its hyperplane, or the origin on
+    a facet hyperplane (a singular facet matrix).
+    """
+    first = _first_facet(verts, n)
+    if first is None:
+        return None
+    unit = [[int(j == k) for j in range(n)] for k in range(n)]
+    first_mask = sum(1 << i for i in first[0])
+    found = {first_mask: first}
+    crossed: set[int] = set()
+    todo = [(first_mask, first)]
+    while todo:
+        mask, (idx, u, c) = todo.pop()
+        if c == 0:
+            return None
+        rows, _ = reduced_echelon(
+            [[verts[i][k] for i in idx] + unit[k] for k in range(n)]
+        )
+        sign = 1 if rows[0][0] > 0 else -1
+        heights = [c - _dot(u, vert) for vert in verts]
+        for r, i in enumerate(idx):
+            ridge = mask & ~(1 << i)
+            if ridge in crossed:
+                continue
+            crossed.add(ridge)
+            v = [-sign * x for x in rows[r][n:]]
+            pivot = _widest_pivot(u, c, heights, v, 0, verts, idx)
+            if pivot is None:
+                return None
+            normal, offset, touching = pivot
+            if len(touching) > 1:
+                return None
+            new_mask = ridge | 1 << touching[0]
+            if new_mask not in found:
+                facet = (tuple(sorted(set(idx) - {i} | {touching[0]})), normal, offset)
+                found[new_mask] = facet
+                todo.append((new_mask, facet))
+    return sorted(found.values())
 
 
 @dataclass(frozen=True)
@@ -147,8 +296,10 @@ class ValidationReport:
 class FanoPolytope:
     """A candidate Fano polytope: ordered vertex list in its input order.
 
-    Construction only enforces structural sanity (consistent coordinate
-    lengths); the geometric conditions are checked by ``validate`` so that
+    Construction only enforces structural sanity (``int`` coordinates,
+    consistent lengths); anything else, ``bool``, ``float`` and
+    ``Fraction`` included, raises TypeError instead of being truncated.
+    The geometric conditions are checked by ``validate`` so that
     bad input files produce diagnostics instead of exceptions.  Instances
     are immutable and hashable.
     """
@@ -160,8 +311,14 @@ class FanoPolytope:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        verts = tuple(tuple(int(x) for x in v) for v in self.vertices)
+        verts = tuple(tuple(v) for v in self.vertices)
         for v in verts:
+            for x in v:
+                if type(x) is not int:
+                    raise TypeError(
+                        f"vertex coordinates must be int, got {x!r} of type "
+                        f"{type(x).__name__} in {v}"
+                    )
             if len(v) != self.dim:
                 raise ShapeMismatchError(
                     f"vertex {v} has length {len(v)}, expected {self.dim}"
@@ -173,55 +330,22 @@ class FanoPolytope:
     # -- hull ------------------------------------------------------------
 
     @cached_property
-    def _hull_scan(self):
-        """Brute-force supporting-hyperplane search over all n-subsets.
+    def _hull_scan(self) -> tuple[list[Facet], list]:
+        """Facets of the hull by exact ridge pivoting, with evidence.
 
-        Returns (facets, evidence) where facets is a list of
-        (indices, outward normal, offset) triples with every other vertex
-        strictly below the hyperplane, and evidence lists one-sided
-        hyperplanes that contain extra vertices (witnesses against
-        simpliciality).  Offsets are oriented so the polytope lies on the
-        side ``<= c``.
+        Returns (facets, evidence) as ``_exhaustive_scan`` does: facets
+        are (indices, outward normal, offset) triples in index order, and
+        evidence lists the one-sided hyperplanes that hold extra points.
+        A simplicial hull whose points are all vertices, with the origin
+        on no facet hyperplane, is walked facet by facet at a cost of
+        about facets * n * m dot products, and has no evidence.  Any
+        other input stops the walk and takes the exhaustive scan, so the
+        validation report sees the same facets and evidence either way.
         """
-        verts = self.vertices
-        n = self.dim
-        m = len(verts)
-        facets = []
-        evidence = []
-        allidx = range(m)
-        for subset in combinations(allidx, n):
-            pts = [verts[i] for i in subset]
-            u = _affine_normal(pts)
-            if u is None:
-                continue
-            c = sum(a * b for a, b in zip(u, pts[0]))
-            chosen = set(subset)
-            above = below = False
-            on: list[int] = []
-            for w in allidx:
-                if w in chosen:
-                    continue
-                t = sum(a * b for a, b in zip(u, verts[w]))
-                if t > c:
-                    above = True
-                    if below:
-                        break
-                elif t < c:
-                    below = True
-                    if above:
-                        break
-                else:
-                    on.append(w)
-            if above and below:
-                continue
-            if above:
-                u = tuple(-x for x in u)
-                c = -c
-            if on:
-                evidence.append((subset, tuple(on), c))
-            else:
-                facets.append((subset, u, c))
-        return facets, evidence
+        facets = _pivot_walk(self.vertices, self.dim)
+        if facets is None:
+            return _exhaustive_scan(self.vertices, self.dim)
+        return facets, []
 
     @cached_property
     def _affine_rank(self) -> int:

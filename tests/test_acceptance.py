@@ -25,7 +25,13 @@ from fanorank.mori import (
     primitive_collections,
     verify_reid_cones,
 )
-from fanorank.polytope import FanoPolytope, ValidationReport, hexagon, simplex
+from fanorank.polytope import (
+    FanoPolytope,
+    ValidationReport,
+    hexagon,
+    simplex,
+    validate_smooth_fano,
+)
 
 from helpers import brute_force_primitive_collections
 
@@ -175,3 +181,14 @@ def test_criterion_10_batch_determinism(corpus_dir, capsys):
     summary = json.loads(outputs[0])["summary"]
     assert summary["theorem_violations"] == 0
     _report("10 batch output byte-identical across --jobs settings")
+
+
+def test_criterion_11_hexagon_power_four():
+    p = construct("product(hexagon,hexagon,hexagon,hexagon)")
+    start = time.perf_counter()
+    facets = p.face_lattice.facets
+    elapsed = time.perf_counter() - start
+    assert (p.dim, len(p.vertices), len(facets)) == (8, 24, 1296)
+    assert validate_smooth_fano(p).passed
+    assert elapsed < 5.0, f"face lattice took {elapsed:.2f}s"
+    _report("11 hexagon^4 validates with 1296 facets, face lattice in under 5 s")

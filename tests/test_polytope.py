@@ -1,12 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from fanorank import construct
+from fanorank import polytope as polytope_module
+from fanorank.bounds import analyze
+from fanorank.formats import report_json
 from fanorank.lattice import ShapeMismatchError, determinant
 from fanorank.polytope import (
     BadIndexError,
     FanoPolytope,
     NotFanoShapeError,
+    _exhaustive_scan,
+    _pivot_walk,
     free_sum,
     hexagon,
     simplex,
@@ -147,6 +154,14 @@ class TestConstructors:
         with pytest.raises(ShapeMismatchError):
             FanoPolytope(2, ((1, 0, 0),))
 
+    @pytest.mark.parametrize(
+        "bad", [1.7, True, Fraction(1)], ids=["float", "bool", "Fraction"]
+    )
+    def test_non_int_coordinate_rejected(self, bad):
+        # int(1.7) would make this P^2, which validates
+        with pytest.raises(TypeError, match="must be int"):
+            FanoPolytope(2, ((bad, 0), (0, 1), (-1, -1)))
+
 
 class TestNormalForm:
     def test_permuted_simplex_equal(self):
@@ -172,3 +187,79 @@ class TestNormalForm:
             for _ in range(100):
                 q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
                 assert q.normal_form() == nf
+
+
+# Smooth Fano 3- and 4-folds that are not products.
+NON_PRODUCTS = {
+    "P^3 blown up at a point": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1))),
+    "P(O+O(1)) over P^2": (3, ((1, 0, 0), (0, 1, 0), (-1, -1, 1), (0, 0, 1), (0, 0, -1))),
+    "P(O+O(2)) over P^2": (3, ((1, 0, 0), (0, 1, 0), (-1, -1, 2), (0, 0, 1), (0, 0, -1))),
+    "P(O+O+O(1)) over P^1": (3, ((1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, 0, 1), (0, -1, -1))),
+    "P(O+O(1)) over P^3": (
+        4,
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 1), (0, 0, 0, 1), (0, 0, 0, -1)),
+    ),
+}
+
+BAD_INPUTS = {
+    "point on an edge": (2, ((1, -1), (1, 0), (1, 1), (-1, 0))),
+    "3-cube": (3, tuple((a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1))),
+    "hexagon^2 plus a point": (
+        4,
+        construct("product(hexagon,hexagon)").vertices + ((1, 1, 1, 1),),
+    ),
+    "duplicate vertex": (2, ((1, 0), (1, 0), (0, 1), (-1, -1))),
+    "interior point": (2, ((2, 1), (1, 2), (-1, -1), (1, 1))),
+    "origin on a facet hyperplane": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0))),
+    "origin outside": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
+    "non-unimodular facet": (2, ((1, 0), (0, 1), (-1, -2))),
+}
+
+
+def assert_pivot_matches_scan(p):
+    facets, evidence = _exhaustive_scan(p.vertices, p.dim)
+    assert not evidence, p.name
+    assert _pivot_walk(p.vertices, p.dim) == facets, p.name
+
+
+class TestPivotAgainstScan:
+    def test_corpus(self, corpus):
+        for _, p in corpus:
+            assert_pivot_matches_scan(p)
+
+    @pytest.mark.parametrize(
+        "spec", ["product(hexagon,hexagon,hexagon)", "product(simplex:2,hexagon,hexagon)"]
+    )
+    def test_random_images(self, spec):
+        rng = random.Random(spec)
+        p = construct(spec)
+        for _ in range(10):
+            assert_pivot_matches_scan(transformed_copy(p, random_unimodular(p.dim, rng), rng))
+
+    @pytest.mark.parametrize("name", sorted(NON_PRODUCTS))
+    def test_non_products(self, name):
+        dim, verts = NON_PRODUCTS[name]
+        p = FanoPolytope(dim, verts, name)
+        assert validate_smooth_fano(p).passed
+        assert_pivot_matches_scan(p)
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_bad_input_reports_unchanged(self, name, monkeypatch):
+        dim, verts = BAD_INPUTS[name]
+        walked = FanoPolytope(dim, verts, name)
+        text = report_json(analyze(walked))
+        assert not walked.validate().passed
+        monkeypatch.setattr(polytope_module, "_pivot_walk", lambda verts, n: None)
+        scanned = FanoPolytope(dim, verts, name)
+        assert scanned._hull_scan == _exhaustive_scan(verts, dim)
+        assert walked._hull_scan == scanned._hull_scan
+        assert report_json(analyze(scanned)) == text
+
+    def test_valid_inputs_never_reach_the_scan(self, corpus, monkeypatch):
+        def refuse(verts, n):
+            raise AssertionError("exhaustive scan on a valid input")
+
+        monkeypatch.setattr(polytope_module, "_exhaustive_scan", refuse)
+        members = [(p.dim, p.vertices) for _, p in corpus] + list(NON_PRODUCTS.values())
+        for dim, verts in members:
+            assert validate_smooth_fano(FanoPolytope(dim, verts)).passed
