@@ -18,7 +18,7 @@ from .bounds import (
     check_weak,
 )
 from .enum2d import enumerate_2d
-from .fan import ConeLocation, Fan, fan_from_polytope
+from .fan import ConeLocation, Fan
 from .formats import (
     batch_json,
     batch_to_dict,
@@ -57,7 +57,6 @@ from .polytope import (
     ValidationReport,
     free_sum,
     hexagon,
-    normal_form,
     simplex,
     validate_smooth_fano,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "count_pc_extensions",
     "curve_class_of",
     "enumerate_2d",
-    "fan_from_polytope",
     "free_sum",
     "hexagon",
     "is_effective_relation",
@@ -96,7 +94,6 @@ __all__ = [
     "is_unimodular_basis",
     "lift_zero_sum_collections",
     "minimal_components",
-    "normal_form",
     "parse_path",
     "parse_polytopes",
     "picard_rank",

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fan import Fan
+from .lattice import InternalInconsistencyError
 from .mori import (
     MinimalComponent,
     PrimitiveRelation,
@@ -54,10 +55,9 @@ class BoundCheck:
     in_asserted_range: bool = True
 
     def __post_init__(self) -> None:
-        if self.bound is None:
-            assert self.satisfied is None
-        else:
-            assert self.satisfied == (self.rho <= self.bound)
+        expected = None if self.bound is None else self.rho <= self.bound
+        if self.satisfied != expected:
+            raise InternalInconsistencyError(f"inconsistent bound check {self}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ class AnalysisReport:
     checks: tuple[BoundCheck, ...]
 
     def __post_init__(self) -> None:
-        assert self.picard_rank == self.vertex_count - self.dim
+        if self.picard_rank != self.vertex_count - self.dim:
+            raise InternalInconsistencyError(f"wrong picard rank in {self.name!r}")
 
 
 def cfh_rank_bound(dim: int, degree: int) -> int:
@@ -144,7 +145,12 @@ def analyze(p: FanoPolytope) -> AnalysisReport:
     relations = tuple(
         primitive_relation(fan, pc) for pc in primitive_collections(fan)
     )
-    components = minimal_components(fan)
+    # an empty right-hand side is exactly a zero-sum collection
+    components = tuple(
+        MinimalComponent(r.collection, r.degree, fan.dim + 1 - r.degree)
+        for r in relations
+        if not r.rhs
+    )
     checks = (
         (check_casagrande(fan),)
         + check_cfh(fan, components)

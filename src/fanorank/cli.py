@@ -56,13 +56,14 @@ def _gather_files(paths: list[str]) -> list[Path]:
 
 def _parse_inputs(paths: list[str]) -> list[FanoPolytope] | None:
     polytopes: list[FanoPolytope] = []
+    failed = False
     for path in _gather_files(paths):
         try:
             polytopes.extend(parse_path(path))
         except (ParseError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return None
-    return polytopes
+            failed = True
+    return None if failed else polytopes
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -1,19 +1,20 @@
-"""Complete smooth fans: exact point location and star quotients.
+"""Complete smooth fans: cone membership, exact point location and star quotients.
 
 The face fan of a validated Fano polytope has the polytope's vertices as
-primitive ray generators and its facets as maximal cones.  Because every
-maximal cone is unimodular, locating a lattice point means solving one
-integer-inverse system per cone, with no rounding anywhere.  The star
-quotient construction collapses a cone to produce the fan of the
-corresponding intersection of toric divisors, keeping enough lifting
-data to pull quotient rays back to original generators.
+primitive ray generators and its facets as maximal cones.  A set of
+rays spans a cone iff the AND of their facet-incidence bitmasks is
+nonzero, so no face is ever built as a set.  Because every maximal cone
+is unimodular, locating a lattice point means solving one integer-inverse
+system per cone, with no rounding anywhere.  The star quotient
+construction collapses a cone to produce the fan of the corresponding
+intersection of toric divisors, keeping enough lifting data to pull
+quotient rays back to original generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -26,7 +27,7 @@ from .lattice import (
     quotient_projection,
     unimodular_inverse,
 )
-from .polytope import BadIndexError, FanoPolytope
+from .polytope import FanoPolytope, common_cells, incidence_masks
 
 
 class FanNotCompleteError(RuntimeError):
@@ -78,35 +79,56 @@ class Fan:
         return cls(p.dim, p.vertices, p.face_lattice.facets)
 
     @cached_property
-    def face_set(self) -> frozenset[frozenset[int]]:
-        faces: set[frozenset[int]] = {frozenset()}
-        for cone in self.max_cones:
-            for size in range(1, len(cone) + 1):
-                for sub in combinations(cone, size):
-                    faces.add(frozenset(sub))
-        return frozenset(faces)
+    def incidence(self) -> tuple[int, ...]:
+        """Bit ``c`` of entry ``v`` is set iff ``max_cones[c]`` contains ray ``v``."""
+        return incidence_masks(self.max_cones, len(self.generators))
+
+    @cached_property
+    def full_mask(self) -> int:
+        return (1 << len(self.max_cones)) - 1
+
+    def cone_mask(self, indices: Iterable[int]) -> int:
+        """Maximal cones holding every given ray; nonzero iff the rays span a cone."""
+        return common_cells(self.incidence, indices, self.full_mask)
+
+    def faces_over(
+        self, mask: int, rays: Sequence[int]
+    ) -> list[tuple[tuple[int, ...], int]]:
+        """``(z, mask & cone_mask(z))`` for every subset ``z`` of the ascending
+        ``rays`` where that is nonzero, by size then lexicographically.
+
+        With ``mask = cone_mask(sigma)``, the faces containing ``sigma``.
+        """
+        inc = self.incidence
+        out = []
+        level = [((), mask, 0)] if mask else []
+        while level:
+            out.extend((z, zmask) for z, zmask, _ in level)
+            level = [
+                (z + (rays[k],), new, k + 1)
+                for z, zmask, start in level
+                for k in range(start, len(rays))
+                if (new := zmask & inc[rays[k]])
+            ]
+        return out
 
     @cached_property
     def all_faces(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            sorted((tuple(sorted(f)) for f in self.face_set), key=lambda f: (len(f), f))
-        )
+        """Every cone as sorted ray indices, by size then lexicographically."""
+        faces = self.faces_over(self.full_mask, range(len(self.generators)))
+        return tuple(z for z, _ in faces)
+
+    @cached_property
+    def face_set(self) -> frozenset[frozenset[int]]:
+        return frozenset(map(frozenset, self.all_faces))
 
     @cached_property
     def _inverse_cache(self) -> dict[int, Matrix]:
         return {}
 
-    def _check_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
-        idx = tuple(indices)
-        m = len(self.generators)
-        for i in idx:
-            if not 0 <= i < m:
-                raise BadIndexError(f"ray index {i} out of range 0..{m - 1}")
-        return idx
-
     def is_cone(self, indices: Iterable[int]) -> bool:
         """True iff the rays span a cone, i.e. the set is a face of a maximal cone."""
-        return frozenset(self._check_indices(indices)) in self.face_set
+        return self.cone_mask(indices) != 0
 
     def _cone_inverse(self, ci: int) -> Matrix:
         cache = self._inverse_cache
@@ -153,45 +175,36 @@ class Fan:
         Several generators may project to one quotient ray, so the full
         preimage lists are kept and the lowest index is the default lift.
         """
-        sig = tuple(sorted(set(self._check_indices(sigma))))
-        if not self.is_cone(sig):
+        sig = tuple(sorted(set(sigma)))
+        sig_mask = self.cone_mask(sig)
+        if not sig_mask:
             raise NotAConeError(f"{sig} is not a cone of the fan")
         proj = quotient_projection(
             [self.generators[i] for i in sig], ambient_rank=self.dim
         )
-        sigset = frozenset(sig)
 
         ray_index: dict[Vector, int] = {}
         preimages: list[list[int]] = []
-        for w in range(len(self.generators)):
-            if w in sigset:
-                continue
-            if frozenset(sigset | {w}) not in self.face_set:
+        images: dict[int, int] = {}
+        for w, w_mask in enumerate(self.incidence):
+            if w in sig or not sig_mask & w_mask:
                 continue
             u = primitive_part(proj.apply(self.generators[w]))
             i = ray_index.get(u)
             if i is None:
-                ray_index[u] = len(preimages)
+                i = ray_index[u] = len(preimages)
                 preimages.append([w])
             else:
                 preimages[i].append(w)
+            images[w] = i
 
-        quotient_cones: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for cone in self.max_cones:
-            if not sigset <= frozenset(cone):
-                continue
-            image = tuple(
-                sorted(
-                    ray_index[primitive_part(proj.apply(self.generators[w]))]
-                    for w in cone
-                    if w not in sigset
-                )
-            )
-            if image not in seen:
-                seen.add(image)
-                quotient_cones.append(image)
-        quotient_cones.sort()
+        quotient_cones = sorted(
+            {
+                tuple(sorted(images[w] for w in cone if w not in sig))
+                for ci, cone in enumerate(self.max_cones)
+                if sig_mask >> ci & 1
+            }
+        )
 
         gens = tuple(sorted(ray_index, key=ray_index.get))
         qfan = Fan(self.dim - len(sig), gens, tuple(quotient_cones))
@@ -202,7 +215,3 @@ class Fan:
             ray_lift=tuple(p[0] for p in preimages),
         )
         return qfan, lift
-
-
-def fan_from_polytope(p: FanoPolytope) -> Fan:
-    return Fan.from_polytope(p)

@@ -29,6 +29,10 @@ class NotSaturatedError(ValueError):
     """The given vectors do not extend to a basis of the ambient lattice."""
 
 
+class InternalInconsistencyError(RuntimeError):
+    """An invariant failed (a bug, not bad input); raised, so ``python -O`` keeps it."""
+
+
 def content(v: Sequence[int]) -> int:
     """Gcd of the entries of ``v`` (0 for the zero vector)."""
     g = 0
@@ -419,5 +423,6 @@ def quotient_projection(
             )
     proj = row_hermite(tuple(u[i] for i in range(r, n)))
     for b in basis:
-        assert not any(mat_vec(proj, b)), "projection does not kill its kernel"
+        if any(mat_vec(proj, b)):
+            raise InternalInconsistencyError("projection does not kill its kernel")
     return QuotientProjection(n, r, proj)

@@ -19,11 +19,7 @@ from itertools import product as iter_product
 from typing import Iterable, Sequence
 
 from .fan import Fan, NotAConeError
-from .lattice import Vector
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A smooth-fan guarantee failed; this signals a bug, not bad input."""
+from .lattice import InternalInconsistencyError, Vector
 
 
 class NotACurveClassError(ValueError):
@@ -75,33 +71,29 @@ class ZeroSumLift:
 def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """All minimal non-faces, by increasing size then lexicographically.
 
-    Level-wise search with pruning: a set can only be a collection or a
-    face if the subset missing its largest element is already a face, so
-    each level extends the previous level's faces by one larger index.
-    Sizes are capped at dim + 1 since proper subsets span simplicial
-    cones.
+    Depth-first walk over the faces on the fan's incidence masks.  A face
+    ``F`` is extended by each ray ``j > max(F)``: when ``F + j`` still
+    spans a cone the walk descends into it, and otherwise ``F + j`` is a
+    primitive collection iff every ``(F - x) + j`` spans a cone.  Each
+    stack frame carries, for every member ``x`` of ``F``, the mask of
+    ``F - x`` (its "drop" mask), so that test is one AND per member and
+    no set is ever built.  A collection's proper subsets are faces, so
+    each one is found from the face missing its largest ray, and sizes
+    stay at most ``dim + 1``.
     """
-    m = len(fan.generators)
-    face_set = fan.face_set
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for f in fan.all_faces:
-        by_size.setdefault(len(f), []).append(f)
-
+    inc = fan.incidence
+    m = len(inc)
     found: list[tuple[int, ...]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if frozenset((i, j)) not in face_set:
-                found.append((i, j))
-    for size in range(3, fan.dim + 2):
-        for f in by_size.get(size - 1, ()):
-            top = f[-1]
-            fs = frozenset(f)
-            for j in range(top + 1, m):
-                s = fs | {j}
-                if s in face_set:
-                    continue
-                if all(s - {x} in face_set for x in f):
-                    found.append(f + (j,))
+    stack = [((i,), mask, (fan.full_mask,)) for i, mask in enumerate(inc) if mask]
+    while stack:
+        face, mask, drops = stack.pop()
+        for j in range(face[-1] + 1, m):
+            inc_j = inc[j]
+            new = mask & inc_j
+            if new:
+                stack.append((face + (j,), new, (*map(inc_j.__and__, drops), mask)))
+            elif all(map(inc_j.__and__, drops)):
+                found.append(face + (j,))
     found.sort(key=lambda s: (len(s), s))
     return tuple(found)
 
@@ -190,27 +182,23 @@ def verify_reid_cones(
     (dropped index, extension) pairs that fail; on valid input it is
     empty.  By default the relation must carry the degree-1 extremality
     certificate; pass ``require_degree_one=False`` only for relations
-    whose extremality is known some other way.
+    whose extremality is known some other way.  Only the faces
+    containing the right-hand side are walked, on the incidence masks.
     """
     if require_degree_one and rel.degree != 1:
         raise NotCertifiedExtremalError(
             f"relation of degree {rel.degree} is not certified extremal"
         )
-    lhs = frozenset(rel.collection)
-    rhs = frozenset(i for i, _ in rel.rhs)
-    face_set = fan.face_set
-    violations = []
-    for face in fan.all_faces:
-        fs = frozenset(face)
-        if not rhs <= fs:
-            continue
-        z = fs - rhs
-        if z & lhs:
-            continue
-        for i in rel.collection:
-            if (lhs - {i}) | fs not in face_set:
-                violations.append((i, tuple(sorted(z))))
-    return tuple(violations)
+    lhs = rel.collection
+    rhs = tuple(i for i, _ in rel.rhs)
+    drops = [(i, fan.cone_mask(x for x in lhs if x != i)) for i in lhs]
+    outside = [w for w in range(len(fan.generators)) if w not in lhs and w not in rhs]
+    return tuple(
+        (i, z)
+        for z, z_mask in fan.faces_over(fan.cone_mask(rhs), outside)
+        for i, drop in drops
+        if not drop & z_mask
+    )
 
 
 def count_pc_extensions(fan: Fan, cone_indices: Iterable[int]) -> int:
@@ -218,18 +206,15 @@ def count_pc_extensions(fan: Fan, cone_indices: Iterable[int]) -> int:
     cone = tuple(sorted(set(cone_indices)))
     if not fan.is_cone(cone):
         raise NotAConeError(f"{cone} is not a cone of the fan")
-    face_set = fan.face_set
-    cs = frozenset(cone)
-    count = 0
-    for w in range(len(fan.generators)):
-        if w in cs:
-            continue
-        s = cs | {w}
-        if s in face_set:
-            continue
-        if all(s - {x} in face_set for x in cone):
-            count += 1
-    return count
+    cone_mask = fan.cone_mask(cone)
+    drops = [fan.cone_mask(x for x in cone if x != y) for y in cone]
+    return sum(
+        1
+        for w, w_mask in enumerate(fan.incidence)
+        if w not in cone
+        and not cone_mask & w_mask
+        and all(d & w_mask for d in drops)
+    )
 
 
 def picard_rank(fan: Fan) -> int:
@@ -250,14 +235,8 @@ def lift_zero_sum_collections(
     sig = tuple(sorted(set(sigma)))
     qfan, lift = fan.star_quotient(sig)
     results = []
-    for pc in primitive_collections(qfan):
-        total = [0] * qfan.dim
-        for r in pc:
-            g = qfan.generators[r]
-            for k in range(qfan.dim):
-                total[k] += g[k]
-        if any(total):
-            continue
+    for comp in minimal_components(qfan):
+        pc = comp.collection
         best: tuple[int, tuple[int, ...], bool] | None = None
         for dropped in pc:
             rest = tuple(r for r in pc if r != dropped)

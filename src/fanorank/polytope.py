@@ -22,6 +22,7 @@ from operator import mul
 from typing import Container, Iterable, Sequence
 
 from .lattice import (
+    InternalInconsistencyError,
     ShapeMismatchError,
     Vector,
     content,
@@ -237,6 +238,30 @@ def _pivot_walk(verts: Sequence[Vector], n: int) -> list[Facet] | None:
     return sorted(found.values())
 
 
+def incidence_masks(cells: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
+    """Bit ``c`` of entry ``v`` is set iff ``cells[c]`` holds ``v``.
+
+    The library's one face representation: given the maximal cells of a
+    simplicial complex (facets, or maximal cones of a fan), a point set
+    is a face iff the AND of its masks (every cell, for the empty set) is
+    nonzero.
+    """
+    masks = [0] * m
+    for c, cell in enumerate(cells):
+        for v in cell:
+            masks[v] |= 1 << c
+    return tuple(masks)
+
+
+def common_cells(masks: Sequence[int], indices: Iterable[int], full: int) -> int:
+    """AND of ``masks`` over ``indices``, from ``full``: the cells holding them all."""
+    for i in indices:
+        if not 0 <= i < len(masks):
+            raise BadIndexError(f"index {i} out of range 0..{len(masks) - 1}")
+        full &= masks[i]
+    return full
+
+
 @dataclass(frozen=True)
 class FaceLattice:
     """Facets of a simplicial polytope plus membership queries for all faces."""
@@ -245,22 +270,11 @@ class FaceLattice:
     facets: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def face_set(self) -> frozenset[frozenset[int]]:
-        faces: set[frozenset[int]] = {frozenset()}
-        for facet in self.facets:
-            for size in range(1, len(facet) + 1):
-                for sub in combinations(facet, size):
-                    faces.add(frozenset(sub))
-        return frozenset(faces)
-
-    @cached_property
-    def all_faces(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            sorted((tuple(sorted(f)) for f in self.face_set), key=lambda f: (len(f), f))
-        )
+    def incidence(self) -> tuple[int, ...]:
+        return incidence_masks(self.facets, 1 + max(map(max, self.facets)))
 
     def is_face(self, indices: Iterable[int]) -> bool:
-        return frozenset(indices) in self.face_set
+        return common_cells(self.incidence, indices, (1 << len(self.facets)) - 1) != 0
 
 
 @dataclass(frozen=True)
@@ -380,12 +394,7 @@ class FanoPolytope:
 
     def is_face(self, indices: Iterable[int]) -> bool:
         """True iff the index set is contained in some facet."""
-        idx = tuple(indices)
-        m = len(self.vertices)
-        for i in idx:
-            if not 0 <= i < m:
-                raise BadIndexError(f"vertex index {i} out of range 0..{m - 1}")
-        return self.face_lattice.is_face(idx)
+        return self.face_lattice.is_face(indices)
 
     # -- validation --------------------------------------------------------
 
@@ -415,7 +424,8 @@ class FanoPolytope:
                 key = tuple(sorted(tuple(w[p] for p in perm) for w in images))
                 if best is None or key < best:
                     best = key
-        assert best is not None
+        if best is None:
+            raise InternalInconsistencyError("a validated polytope has no facets")
         return best
 
 
@@ -518,15 +528,6 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
     )
 
     return ValidationReport(p.name, tuple(conditions))
-
-
-def facets(p: FanoPolytope) -> FaceLattice:
-    """Face lattice of a validated polytope (alias for the cached property)."""
-    return p.face_lattice
-
-
-def normal_form(p: FanoPolytope) -> tuple[Vector, ...]:
-    return p.normal_form()
 
 
 # -- constructors -----------------------------------------------------------

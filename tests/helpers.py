@@ -2,31 +2,93 @@
 
 Everything here is deliberately written against the definitions, not
 against the library internals, so that the main code paths are checked
-by a second route: brute-force subset scans for primitive collections,
-an angular-sort hull for 2D facets, and elementary-matrix products for
-random unimodular maps.
+by a second route: a face set built as frozensets from the maximal cones,
+brute-force subset scans over it for primitive collections, extension
+counts and Reid cone checks, an angular-sort hull for 2D facets, and
+elementary-matrix products for random unimodular maps.  Nothing here
+reads the library's face data (its incidence masks, ``face_set`` or
+``all_faces``); only ``fan.max_cones`` and ``fan.generators``.
 """
 
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations
 
 from fanorank import FanoPolytope
 from fanorank.lattice import mat_vec
 
 
+# Smooth Fano 3- and 4-folds that are not products.
+NON_PRODUCTS = {
+    "P^3 blown up at a point": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1))),
+    "P(O+O(1)) over P^2": (3, ((1, 0, 0), (0, 1, 0), (-1, -1, 1), (0, 0, 1), (0, 0, -1))),
+    "P(O+O(2)) over P^2": (3, ((1, 0, 0), (0, 1, 0), (-1, -1, 2), (0, 0, 1), (0, 0, -1))),
+    "P(O+O+O(1)) over P^1": (3, ((1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, 0, 1), (0, -1, -1))),
+    "P(O+O(1)) over P^3": (
+        4,
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 1), (0, 0, 0, 1), (0, 0, 0, -1)),
+    ),
+}
+
+
+@cache
+def brute_force_faces(fan):
+    """Every subset of every maximal cone as a frozenset, the empty face included."""
+    faces = {frozenset()}
+    for cone in fan.max_cones:
+        for size in range(1, len(cone) + 1):
+            for sub in combinations(cone, size):
+                faces.add(frozenset(sub))
+    return frozenset(faces)
+
+
 def brute_force_primitive_collections(fan):
-    """Scan every vertex subset against the minimal-non-face definition."""
+    """Scan vertex subsets against the minimal-non-face definition.
+
+    Sizes stop one above the largest cone: a larger set has a non-face
+    proper subset of that size, so it cannot be minimal.
+    """
     m = len(fan.generators)
-    face_set = fan.face_set
+    faces = brute_force_faces(fan)
+    top = max(map(len, faces)) + 1
     out = []
-    for size in range(2, m + 1):
+    for size in range(2, top + 1):
         for subset in combinations(range(m), size):
             fs = frozenset(subset)
-            if fs in face_set:
+            if fs in faces:
                 continue
-            if all(fs - {x} in face_set for x in subset):
+            if all(fs - {x} in faces for x in subset):
                 out.append(subset)
     return tuple(sorted(out, key=lambda s: (len(s), s)))
+
+
+def brute_force_pc_extensions(fan, cone):
+    """Rays w outside the cone for which cone + w is a minimal non-face."""
+    faces = brute_force_faces(fan)
+    cs = frozenset(cone)
+    count = 0
+    for w in range(len(fan.generators)):
+        s = cs | {w}
+        if w in cs or s in faces:
+            continue
+        if all(s - {x} in faces for x in cs):
+            count += 1
+    return count
+
+
+def brute_force_reid_violations(fan, rel):
+    """(dropped, extension) pairs failing the Reid cone check, faces by size then lex."""
+    faces = brute_force_faces(fan)
+    lhs = frozenset(rel.collection)
+    rhs = frozenset(i for i, _ in rel.rhs)
+    out = []
+    for face in sorted(faces, key=lambda f: (len(f), sorted(f))):
+        z = face - rhs
+        if not rhs <= face or z & lhs:
+            continue
+        for i in rel.collection:
+            if (lhs - {i}) | face not in faces:
+                out.append((i, tuple(sorted(z))))
+    return tuple(out)
 
 
 def hull_edges_by_angle(vertices):

@@ -131,7 +131,7 @@ def test_criterion_06_collection_oracle_equivalence(corpus_fans):
         checked += 1
         assert primitive_collections(fan) == brute_force_primitive_collections(fan), name
     assert checked > 0
-    _report(f"06 level-wise collections equal brute force on {checked} members")
+    _report(f"06 depth-first collections equal brute force on {checked} members")
 
 
 def test_criterion_07_reid_verification(corpus_fans):

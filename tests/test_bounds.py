@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from fanorank import bounds, mori
 from fanorank.bounds import (
     analyze,
     cfh_rank_bound,
@@ -10,7 +15,11 @@ from fanorank.bounds import (
 )
 from fanorank.fan import Fan
 from fanorank.formats import construct
+from fanorank.lattice import InternalInconsistencyError
+from fanorank.mori import minimal_components
 from fanorank.polytope import FanoPolytope, free_sum, hexagon, simplex
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fan_of(p):
@@ -136,6 +145,47 @@ class TestAnalyze:
         assert [c.name for c in rep.checks] == (
             ["casagrande"] + ["cfh"] * 3 + ["strong"] * 3 + ["weak"] * 3
         )
+
+    def test_collections_enumerated_once(self, monkeypatch):
+        calls = []
+        original = mori.primitive_collections
+
+        def counting(fan):
+            calls.append(fan)
+            return original(fan)
+
+        monkeypatch.setattr(bounds, "primitive_collections", counting)
+        monkeypatch.setattr(mori, "primitive_collections", counting)
+        rep = analyze(free_sum(simplex(2), hexagon()))
+        assert rep.valid and len(rep.components) == 4
+        assert len(calls) == 1
+
+    def test_components_derived_from_relations(self, corpus_fans):
+        for name, p, fan in corpus_fans:
+            assert analyze(p).components == minimal_components(fan), name
+
+
+class TestInvariants:
+    def test_inconsistent_check_raises(self):
+        with pytest.raises(InternalInconsistencyError):
+            bounds.BoundCheck("x", None, 3, 5, True)
+
+    def test_inconsistent_check_raises_under_dash_o(self):
+        code = (
+            "from fanorank.bounds import BoundCheck; "
+            "BoundCheck('x', None, 3, 5, True)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode != 0
+        assert "InternalInconsistencyError" in proc.stderr
+
+    def test_error_class_shared_with_mori(self):
+        assert mori.InternalInconsistencyError is InternalInconsistencyError
 
 
 class TestCorpusTheorems:

@@ -123,6 +123,19 @@ class TestBatchCommand:
         assert code == 3
         assert "broken.poly:3" in err
 
+    def test_every_bad_file_named_in_input_order(self, capsys, tmp_path, sample_file):
+        garbage = tmp_path / "garbage.poly"
+        garbage.write_text("garbage\n", encoding="utf-8")
+        missing = tmp_path / "missing.poly"
+        code = main(["batch", str(sample_file), str(garbage), str(missing)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert "garbage.poly:1" in lines[0]
+        assert "missing.poly" in lines[1]
+
     def test_jobs_do_not_change_bytes(self, capsys, sample_file, invalid_file):
         outputs = []
         for jobs in ("1", "4"):

@@ -1,0 +1,103 @@
+"""The incidence-mask core against the frozenset oracle of ``helpers``.
+
+Every fan here is checked for the same tuples in the same order from
+``primitive_collections``, ``count_pc_extensions`` and
+``verify_reid_cones``, and the same answers from ``is_cone``, as the
+brute-force scans over faces built from ``fan.max_cones`` alone.  The
+fans are the test corpus, seeded unimodular images of two products and
+the smooth Fano 3- and 4-folds that are not products; each is also
+checked with its first maximal cone removed, which breaks completeness
+and gives nonempty Reid violation lists.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from fanorank import construct
+from fanorank.fan import Fan
+from fanorank.mori import (
+    count_pc_extensions,
+    primitive_collections,
+    primitive_relation,
+    verify_reid_cones,
+)
+from fanorank.polytope import FanoPolytope
+
+from helpers import (
+    NON_PRODUCTS,
+    brute_force_faces,
+    brute_force_pc_extensions,
+    brute_force_primitive_collections,
+    brute_force_reid_violations,
+    random_unimodular,
+    transformed_copy,
+)
+
+IMAGE_SPECS = ("product(hexagon,hexagon)", "product(simplex:2,simplex:1,hexagon)")
+
+
+@pytest.fixture(scope="module")
+def fans(corpus_fans):
+    out = [(name, fan) for name, _, fan in corpus_fans]
+    for spec in IMAGE_SPECS:
+        rng = random.Random(spec)
+        p = construct(spec)
+        for k in range(5):
+            q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
+            out.append((f"{spec}~{k}", Fan.from_polytope(q)))
+    for name, (dim, verts) in sorted(NON_PRODUCTS.items()):
+        out.append((name, Fan.from_polytope(FanoPolytope(dim, verts, name))))
+    return out
+
+
+def doctored(fan):
+    return Fan(fan.dim, fan.generators, fan.max_cones[1:])
+
+
+def test_primitive_collections(fans):
+    for name, fan in fans:
+        for f in (fan, doctored(fan)):
+            want = brute_force_primitive_collections(f)
+            assert primitive_collections(f) == want, name
+
+
+def test_is_cone(fans):
+    for name, fan in fans:
+        for f in (fan, doctored(fan)):
+            faces = brute_force_faces(f)
+            m = len(f.generators)
+            for size in range(f.dim + 2):
+                for subset in combinations(range(m), size):
+                    want = frozenset(subset) in faces
+                    assert f.is_cone(subset) == want, (name, subset)
+
+
+def test_face_set_and_all_faces(fans):
+    for name, fan in fans:
+        faces = brute_force_faces(fan)
+        assert fan.face_set == faces, name
+        ordered = sorted((tuple(sorted(f)) for f in faces), key=lambda f: (len(f), f))
+        assert fan.all_faces == tuple(ordered), name
+
+
+def test_count_pc_extensions(fans):
+    for name, fan in fans:
+        for f in (fan, doctored(fan)):
+            for cone in brute_force_faces(f):
+                if len(cone) <= 2:
+                    want = brute_force_pc_extensions(f, cone)
+                    assert count_pc_extensions(f, cone) == want, (name, sorted(cone))
+
+
+def test_verify_reid_cones(fans):
+    nonempty = 0
+    for name, fan in fans:
+        for pc in primitive_collections(fan):
+            rel = primitive_relation(fan, pc)
+            for f in (fan, doctored(fan)):
+                got = verify_reid_cones(f, rel, require_degree_one=False)
+                assert got == brute_force_reid_violations(f, rel), (name, pc)
+                nonempty += bool(got)
+    assert nonempty > 0

@@ -117,7 +117,7 @@ class TestMinimalComponents:
 
     def test_product_components_match_brute_force(self, corpus_fans):
         # on every product small enough, the zero-sum collections found by
-        # the level-wise path equal those of a raw subset scan
+        # the depth-first walk equal those of a raw subset scan
         for name, p, fan in corpus_fans:
             if "product" not in name or len(fan.generators) > 12:
                 continue

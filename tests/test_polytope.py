@@ -20,7 +20,7 @@ from fanorank.polytope import (
     validate_smooth_fano,
 )
 
-from helpers import hull_edges_by_angle, random_unimodular, transformed_copy
+from helpers import NON_PRODUCTS, hull_edges_by_angle, random_unimodular, transformed_copy
 
 
 class TestFacets:
@@ -188,18 +188,6 @@ class TestNormalForm:
                 q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
                 assert q.normal_form() == nf
 
-
-# Smooth Fano 3- and 4-folds that are not products.
-NON_PRODUCTS = {
-    "P^3 blown up at a point": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1))),
-    "P(O+O(1)) over P^2": (3, ((1, 0, 0), (0, 1, 0), (-1, -1, 1), (0, 0, 1), (0, 0, -1))),
-    "P(O+O(2)) over P^2": (3, ((1, 0, 0), (0, 1, 0), (-1, -1, 2), (0, 0, 1), (0, 0, -1))),
-    "P(O+O+O(1)) over P^1": (3, ((1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, 0, 1), (0, -1, -1))),
-    "P(O+O(1)) over P^3": (
-        4,
-        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 1), (0, 0, 0, 1), (0, 0, 0, -1)),
-    ),
-}
 
 BAD_INPUTS = {
     "point on an edge": (2, ((1, -1), (1, 0), (1, 1), (-1, 0))),
