@@ -35,7 +35,6 @@ from .lattice import (
     is_primitive,
     is_unimodular_basis,
     quotient_projection,
-    smith_normal_form,
 )
 from .mori import (
     MinimalComponent,
@@ -104,7 +103,6 @@ __all__ = [
     "report_json",
     "report_to_dict",
     "simplex",
-    "smith_normal_form",
     "validate_smooth_fano",
     "verify_reid_cones",
     "write_report",

@@ -59,6 +59,24 @@ class BoundCheck:
         if self.satisfied != expected:
             raise InternalInconsistencyError(f"inconsistent bound check {self}")
 
+    @property
+    def is_theorem_violation(self) -> bool:
+        """Failures that can only mean a bug: Casagrande and the codegree 2 cap."""
+        if self.satisfied is not False:
+            return False
+        if self.name == "casagrande":
+            return True
+        return self.name == "weak" and self.component is not None and self.component.codegree == 2
+
+    @property
+    def is_conjecture_violation(self) -> bool:
+        """Literal failures of the conjectural checks inside their asserted range."""
+        if self.satisfied is not False or not self.in_asserted_range:
+            return False
+        if self.name == "cfh" or self.name == "strong":
+            return True
+        return self.name == "weak" and self.component is not None and self.component.codegree < 2
+
 
 @dataclass(frozen=True)
 class AnalysisReport:

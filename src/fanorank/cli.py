@@ -3,8 +3,9 @@
 Subcommands mirror the library surface: ``validate``, ``analyze``,
 ``check``, ``construct``, ``enumerate2d`` and ``batch``.  All output is
 JSON (or the polytope text format for the constructors) with stable key
-and array order, so runs over the same input are byte-identical whatever
-the ``--jobs`` setting.
+and array order, so runs over the same input are byte-identical.
+``analyze`` and ``batch`` still accept ``--jobs K`` but ignore it: they
+run the polytopes one after another in input order.
 
 Exit codes: 0 clean; 1 a polytope failed validation; 2 a theorem-level
 check failed, which indicates a bug rather than mathematics; 3 the input
@@ -17,10 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .bounds import AnalysisReport, analyze, check_casagrande, check_cfh, check_strong, check_weak
+from .bounds import analyze, check_casagrande, check_cfh, check_strong, check_weak
 from .enum2d import enumerate_2d
 from .fan import Fan
 from .formats import (
@@ -29,18 +29,18 @@ from .formats import (
     batch_exit_code,
     batch_json,
     construct,
-    is_theorem_violation,
+    check_to_dict,
     parse_path,
     polytopes_to_text,
     report_to_dict,
-    _check_to_dict,
-    _validation_to_dict,
+    validation_to_dict,
 )
 from .polytope import FanoPolytope
 
 PARSE_EXIT = 3
 THEOREM_EXIT = 2
 VALIDATION_EXIT = 1
+JOBS_HELP = "accepted for compatibility; has no effect"
 
 
 def _gather_files(paths: list[str]) -> list[Path]:
@@ -73,13 +73,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _analyze_all(polytopes: list[FanoPolytope], jobs: int) -> list[AnalysisReport]:
-    if jobs <= 1 or len(polytopes) <= 1:
-        return [analyze(p) for p in polytopes]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(analyze, polytopes))
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     polytopes = _parse_inputs(args.files)
     if polytopes is None:
@@ -90,7 +83,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         report = p.validate()
         failed = failed or not report.passed
         record = {"name": p.name}
-        record.update(_validation_to_dict(report))
+        record.update(validation_to_dict(report))
         records.append(record)
     _emit(json.dumps(records, sort_keys=True, indent=2) + "\n", args.out)
     return VALIDATION_EXIT if failed else 0
@@ -100,7 +93,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     polytopes = _parse_inputs(args.files)
     if polytopes is None:
         return PARSE_EXIT
-    reports = _analyze_all(polytopes, args.jobs)
+    reports = [analyze(p) for p in polytopes]
     _emit(
         json.dumps([report_to_dict(r) for r in reports], sort_keys=True, indent=2) + "\n",
         args.out,
@@ -130,10 +123,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             continue
         fan = Fan.from_polytope(p)
         checks = _CHECKERS[args.which](fan)
-        if any(is_theorem_violation(c) for c in checks):
+        if any(c.is_theorem_violation for c in checks):
             code = THEOREM_EXIT
         records.append(
-            {"name": p.name, "valid": True, "checks": [_check_to_dict(c) for c in checks]}
+            {"name": p.name, "valid": True, "checks": [check_to_dict(c) for c in checks]}
         )
     _emit(json.dumps(records, sort_keys=True, indent=2) + "\n", args.out)
     return code
@@ -150,6 +143,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate2d(args: argparse.Namespace) -> int:
+    if args.box < 1:
+        print(f"error: --box must be at least 1, got {args.box}", file=sys.stderr)
+        return PARSE_EXIT
     classes = enumerate_2d(args.box)
     _emit(polytopes_to_text(list(classes)), args.out)
     return 0
@@ -159,7 +155,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     polytopes = _parse_inputs(args.paths)
     if polytopes is None:
         return PARSE_EXIT
-    reports = _analyze_all(polytopes, args.jobs)
+    reports = [analyze(p) for p in polytopes]
     _emit(batch_json(reports) + "\n", args.out)
     return batch_exit_code(reports)
 
@@ -180,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     p_analyze = sub.add_parser("analyze", help="full per-polytope reports")
     p_analyze.add_argument("files", nargs="+")
     p_analyze.add_argument("--out")
-    p_analyze.add_argument("--jobs", type=int, default=1)
+    p_analyze.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_check = sub.add_parser("check", help="evaluate one family of bounds")
@@ -201,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_batch = sub.add_parser("batch", help="analyze files or directories of .poly files")
     p_batch.add_argument("paths", nargs="+")
-    p_batch.add_argument("--jobs", type=int, default=1)
+    p_batch.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_batch.add_argument("--out")
     p_batch.set_defaults(func=_cmd_batch)
 

@@ -22,6 +22,7 @@ from .lattice import (
     QuotientProjection,
     ShapeMismatchError,
     Vector,
+    int_vector,
     mat_vec,
     primitive_part,
     quotient_projection,
@@ -146,9 +147,10 @@ class Fan:
         Scans maximal cones in order and solves each unimodular system
         exactly; for a complete simplicial fan the strictly positive
         support is the same whichever containing cone is found first.
-        The zero vector sits in the trivial cone with empty support.
+        The zero vector sits in the trivial cone with empty support.  A
+        coordinate whose type is not ``int`` raises TypeError.
         """
-        pt = tuple(int(x) for x in point)
+        pt = int_vector(point, "point")
         if len(pt) != self.dim:
             raise ShapeMismatchError(
                 f"point has length {len(pt)}, fan has dimension {self.dim}"

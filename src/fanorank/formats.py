@@ -198,7 +198,7 @@ def construct(spec: str) -> FanoPolytope:
 # -- JSON reports --------------------------------------------------------------
 
 
-def _validation_to_dict(v: ValidationReport) -> dict:
+def validation_to_dict(v: ValidationReport) -> dict:
     return {
         "passed": v.passed,
         "failures": list(v.failures),
@@ -209,7 +209,7 @@ def _validation_to_dict(v: ValidationReport) -> dict:
     }
 
 
-def _check_to_dict(c: BoundCheck) -> dict:
+def check_to_dict(c: BoundCheck) -> dict:
     return {
         "name": c.name,
         "component": list(c.component.collection) if c.component else None,
@@ -227,7 +227,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "vertex_count": report.vertex_count,
         "picard_rank": report.picard_rank,
         "valid": report.valid,
-        "validation": _validation_to_dict(report.validation),
+        "validation": validation_to_dict(report.validation),
         "primitive_relations": [
             {
                 "lhs": list(r.collection),
@@ -240,7 +240,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             {"indices": list(c.collection), "degree": c.degree, "codegree": c.codegree}
             for c in report.components
         ],
-        "checks": [_check_to_dict(c) for c in report.checks],
+        "checks": [check_to_dict(c) for c in report.checks],
     }
 
 
@@ -255,24 +255,6 @@ def write_report(report: AnalysisReport, sink: IO[str]) -> str:
     return text
 
 
-def is_theorem_violation(check: BoundCheck) -> bool:
-    """Failures that can only mean a bug: Casagrande and the codegree 2 cap."""
-    if check.satisfied is not False:
-        return False
-    if check.name == "casagrande":
-        return True
-    return check.name == "weak" and check.component is not None and check.component.codegree == 2
-
-
-def is_conjecture_violation(check: BoundCheck) -> bool:
-    """Literal failures of the conjectural checks inside their asserted range."""
-    if check.satisfied is not False or not check.in_asserted_range:
-        return False
-    if check.name == "cfh" or check.name == "strong":
-        return True
-    return check.name == "weak" and check.component is not None and check.component.codegree < 2
-
-
 def batch_to_dict(reports: Sequence[AnalysisReport]) -> dict:
     """Aggregate record for a batch run: per-polytope reports plus summary counts."""
     theorem = conjecture = out_of_range = 0
@@ -281,9 +263,9 @@ def batch_to_dict(reports: Sequence[AnalysisReport]) -> dict:
         if not rep.valid:
             invalid += 1
         for check in rep.checks:
-            if is_theorem_violation(check):
+            if check.is_theorem_violation:
                 theorem += 1
-            elif is_conjecture_violation(check):
+            elif check.is_conjecture_violation:
                 conjecture += 1
             elif check.satisfied is False and not check.in_asserted_range:
                 out_of_range += 1
@@ -307,7 +289,7 @@ def batch_exit_code(reports: Iterable[AnalysisReport]) -> int:
     """0 clean, 2 on any theorem-level violation, 1 on any validation failure."""
     code = 0
     for rep in reports:
-        if any(is_theorem_violation(c) for c in rep.checks):
+        if any(c.is_theorem_violation for c in rep.checks):
             return 2
         if not rep.valid:
             code = 1

@@ -63,12 +63,23 @@ def primitive_part(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
+def int_vector(v: Iterable[int], what: str) -> Vector:
+    """``v`` as a tuple, or TypeError for an entry whose type is not ``int``.
+
+    ``bool``, ``float`` and ``Fraction`` are rejected, never truncated.
+    """
+    v = tuple(v)
+    for x in v:
+        if type(x) is not int:
+            raise TypeError(
+                f"{what} coordinates must be int, got {x!r} of type "
+                f"{type(x).__name__} in {v}"
+            )
+    return v
+
+
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(col) for col in zip(*m))
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:
@@ -205,127 +216,13 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(d * x for x in row[n:]) for row in rows)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form ``D = U @ M @ V`` of an integer matrix.
-
-    ``U`` and ``V`` are unimodular, ``D`` is diagonal with nonnegative
-    entries each dividing the next.  The pivot at every step is the
-    nonzero entry of smallest absolute value, ties broken in row-major
-    order, so the decomposition is reproducible run to run.
-    """
-    a = [list(map(int, row)) for row in matrix]
-    nr = len(a)
-    if nr == 0 or len(a[0]) == 0:
-        raise ShapeMismatchError("smith_normal_form needs a nonempty matrix")
-    nc = len(a[0])
-    if any(len(r) != nc for r in a):
-        raise ShapeMismatchError("ragged matrix")
-
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        ai, aj = a[i], a[j]
-        for k in range(nc):
-            ai[k] -= q * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(nr):
-            ui[k] -= q * uj[k]
-
-    def add_col(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def clear(t: int) -> None:
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            for i in range(t + 1, nr):
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        add_row(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        if a[t][t] < 0:
-                            negate_row(t)
-            dirty = False
-            for j in range(t + 1, nc):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        add_col(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        best = None
-        bi = bj = -1
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best:
-                        best, bi, bj = ax, i, j
-        if best is None:
-            break
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        clear(t)
-        t += 1
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di and dj % di:
-                add_col(i, i + 1, -1)
-                clear(i)
-                changed = True
-
-    for i in range(limit):
-        if a[i][i] < 0:
-            negate_row(i)
-
-    to_mat = lambda rows: tuple(tuple(r) for r in rows)
-    return to_mat(u), to_mat(a), to_mat(v)
-
-
 def row_hermite(matrix: Sequence[Sequence[int]]) -> Matrix:
     """Row-style Hermite normal form (left multiplication by a unimodular map).
 
     Pivots are positive and entries above a pivot are reduced into
     ``[0, pivot)``; the row space is unchanged.
     """
-    rows = [list(map(int, r)) for r in matrix]
+    rows = [list(r) for r in matrix]
     if not rows:
         return ()
     nc = len(rows[0])
@@ -370,10 +267,11 @@ def row_hermite(matrix: Sequence[Sequence[int]]) -> Matrix:
 
 @dataclass(frozen=True)
 class QuotientProjection:
-    """A surjection Z^n -> Z^(n-r) whose kernel saturates the given span.
+    """A surjection Z^n -> Z^(n-r) whose kernel is exactly the given span.
 
-    ``matrix`` has the kernel basis in its kernel and maps onto the full
-    quotient lattice (its Smith form has all-ones diagonal).
+    ``matrix`` is the integer left kernel of the basis, in reduced row
+    Hermite form: its rows are a Z-basis of the vectors orthogonal to the
+    span, so it maps Z^n onto the whole quotient lattice Z^(n-r).
     """
 
     ambient_rank: int
@@ -395,10 +293,14 @@ def quotient_projection(
 
     The basis must extend to a Z-basis of the ambient lattice (this is
     automatic for the generators of a cone in a smooth fan); otherwise
-    NotSaturatedError is raised.  The result is canonical: the projection
-    matrix is put in row Hermite form, so equal inputs give equal outputs.
+    NotSaturatedError is raised.  One row Hermite form ``[U B | U]`` of
+    ``[B | I]``, with the basis as the columns of ``B``, decides both: the
+    basis is saturated iff ``U B`` starts with ``I_r``, and then the last
+    ``n - r`` rows of ``U`` span the left kernel of ``B``.  They are
+    already in reduced row Hermite form, which is unique for the lattice,
+    so equal spans give equal matrices.
     """
-    basis = [tuple(v) for v in kernel_basis]
+    basis = [int_vector(v, "kernel vector") for v in kernel_basis]
     if basis:
         n = len(basis[0])
         if any(len(b) != n for b in basis):
@@ -410,18 +312,17 @@ def quotient_projection(
     r = len(basis)
     if r > n:
         raise NotSaturatedError(f"{r} vectors cannot be independent in rank {n}")
-    if r == 0:
-        return QuotientProjection(n, 0, identity_matrix(n))
 
-    cols = tuple(tuple(basis[j][i] for j in range(r)) for i in range(n))
-    u, d, _ = smith_normal_form(cols)
+    rows = row_hermite(
+        [tuple(b[i] for b in basis) + e for i, e in enumerate(identity_matrix(n))]
+    )
     for i in range(r):
-        if d[i][i] != 1:
+        if rows[i][i] != 1:
             raise NotSaturatedError(
                 "kernel basis does not extend to a lattice basis "
-                f"(Smith diagonal entry {d[i][i]})"
+                f"(Hermite diagonal entry {rows[i][i]})"
             )
-    proj = row_hermite(tuple(u[i] for i in range(r, n)))
+    proj = tuple(row[r:] for row in rows[r:])
     for b in basis:
         if any(mat_vec(proj, b)):
             raise InternalInconsistencyError("projection does not kill its kernel")

@@ -27,6 +27,7 @@ from .lattice import (
     Vector,
     content,
     determinant,
+    int_vector,
     kernel_basis,
     mat_vec,
     matrix_rank,
@@ -264,17 +265,13 @@ def common_cells(masks: Sequence[int], indices: Iterable[int], full: int) -> int
 
 @dataclass(frozen=True)
 class FaceLattice:
-    """Facets of a simplicial polytope plus membership queries for all faces."""
+    """Facets of a simplicial polytope, as sorted vertex index sets.
+
+    Face queries go through the face fan: ``Fan.from_polytope(p).is_cone``.
+    """
 
     dim: int
     facets: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def incidence(self) -> tuple[int, ...]:
-        return incidence_masks(self.facets, 1 + max(map(max, self.facets)))
-
-    def is_face(self, indices: Iterable[int]) -> bool:
-        return common_cells(self.incidence, indices, (1 << len(self.facets)) - 1) != 0
 
 
 @dataclass(frozen=True)
@@ -325,14 +322,8 @@ class FanoPolytope:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        verts = tuple(tuple(v) for v in self.vertices)
+        verts = tuple(int_vector(v, "vertex") for v in self.vertices)
         for v in verts:
-            for x in v:
-                if type(x) is not int:
-                    raise TypeError(
-                        f"vertex coordinates must be int, got {x!r} of type "
-                        f"{type(x).__name__} in {v}"
-                    )
             if len(v) != self.dim:
                 raise ShapeMismatchError(
                     f"vertex {v} has length {len(v)}, expected {self.dim}"
@@ -391,10 +382,6 @@ class FanoPolytope:
         if len(incident) != len(self.vertices):
             raise NotFanoShapeError("some input point is not a vertex of the hull")
         return FaceLattice(self.dim, tuple(sorted(f for f, _, _ in facets)))
-
-    def is_face(self, indices: Iterable[int]) -> bool:
-        """True iff the index set is contained in some facet."""
-        return self.face_lattice.is_face(indices)
 
     # -- validation --------------------------------------------------------
 

@@ -4,12 +4,14 @@ Everything here is deliberately written against the definitions, not
 against the library internals, so that the main code paths are checked
 by a second route: a face set built as frozensets from the maximal cones,
 brute-force subset scans over it for primitive collections, extension
-counts and Reid cone checks, an angular-sort hull for 2D facets, and
+counts and Reid cone checks, an angular-sort hull for 2D facets,
+Gaussian elimination over ``Fraction`` for ranks and determinants, and
 elementary-matrix products for random unimodular maps.  Nothing here
 reads the library's face data (its incidence masks, ``face_set`` or
 ``all_faces``); only ``fan.max_cones`` and ``fan.generators``.
 """
 
+from fractions import Fraction
 from functools import cache, cmp_to_key
 from itertools import combinations
 
@@ -108,6 +110,37 @@ def hull_edges_by_angle(vertices):
     return tuple(
         sorted(tuple(sorted((order[i], order[(i + 1) % m]))) for i in range(m))
     )
+
+
+def _eliminate_over_q(m):
+    """(rank, product of pivots with the sign of the row swaps) over the rationals."""
+    rows = [[Fraction(x) for x in r] for r in m]
+    rank, det = 0, Fraction(1)
+    for c in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            det = Fraction(0)
+            continue
+        if sel != rank:
+            rows[rank], rows[sel] = rows[sel], rows[rank]
+            det = -det
+        p = rows[rank]
+        det *= p[c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / p[c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], p)]
+        rank += 1
+    return rank, det
+
+
+def rank_over_q(m):
+    """Rank of an integer matrix by Gaussian elimination over ``Fraction``."""
+    return _eliminate_over_q(m)[0]
+
+
+def det_over_q(m):
+    """Determinant of a square integer matrix by Gaussian elimination over ``Fraction``."""
+    return int(_eliminate_over_q(m)[1])
 
 
 def random_unimodular(n, rng, steps=25):

@@ -94,6 +94,14 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.count("polytope ") == 5
 
+    def test_box_below_one_exits_three(self, capsys):
+        for box in ("0", "-2"):
+            code = main(["enumerate2d", "--box", box])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("error: --box must be at least 1")
+
 
 class TestBatchCommand:
     def test_directory_input_clean_exit(self, capsys, tmp_path, sample_file):

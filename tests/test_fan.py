@@ -57,6 +57,12 @@ class TestPointLocation:
         assert loc.support == (1,)
         assert loc.coefficients == (1,)
 
+    def test_inexact_coordinates_rejected(self):
+        fan = fan_of(simplex(2))
+        for pt in ((0.5, 1.7), (True, False)):
+            with pytest.raises(TypeError, match="must be int"):
+                fan.minimal_cone_containing(pt)
+
     def test_reconstruction_and_completeness(self, corpus_fans):
         rng = random.Random(99)
         for name, p, fan in corpus_fans:

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,10 @@ from fanorank.lattice import (
     quotient_projection,
     reduced_echelon,
     row_hermite,
-    smith_normal_form,
     unimodular_inverse,
 )
 
-from helpers import random_unimodular
+from helpers import det_over_q, random_unimodular, rank_over_q
 
 
 class TestIsPrimitive:
@@ -107,48 +108,6 @@ matrices = st.integers(1, 4).flatmap(
 )
 
 
-class TestSmithNormalForm:
-    def test_identity(self):
-        u, d, v = smith_normal_form(identity_matrix(2))
-        assert d == identity_matrix(2)
-
-    def test_already_diagonal(self):
-        _, d, _ = smith_normal_form(((2, 0), (0, 4)))
-        assert d == ((2, 0), (0, 4))
-
-    def test_hand_reduction(self):
-        # [[1,0],[1,2]] row-reduces to diag(1,2)
-        u, d, v = smith_normal_form(((1, 0), (1, 2)))
-        assert d == ((1, 0), (0, 2))
-        assert mat_mul(mat_mul(u, ((1, 0), (1, 2))), v) == d
-
-    @given(matrices)
-    @settings(max_examples=150)
-    def test_decomposition_properties(self, rows):
-        m = tuple(tuple(r) for r in rows)
-        u, d, v = smith_normal_form(m)
-        assert mat_mul(mat_mul(u, m), v) == d
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        for i in range(len(d)):
-            for j in range(len(d[0])):
-                if i != j:
-                    assert d[i][j] == 0
-        assert all(x >= 0 for x in diag)
-        for a, b in zip(diag, diag[1:]):
-            if a:
-                assert b % a == 0
-            else:
-                assert b == 0
-
-    def test_rank_agrees(self):
-        m = ((1, 2, 3), (2, 4, 6), (1, 0, 1))
-        _, d, _ = smith_normal_form(m)
-        snf_rank = sum(1 for i in range(min(3, 3)) if d[i][i])
-        assert snf_rank == matrix_rank(m) == 2
-
-
 class TestReducedEchelon:
     @given(matrices)
     @settings(max_examples=150)
@@ -157,8 +116,7 @@ class TestReducedEchelon:
         ncols = len(m[0])
         out, pivots = reduced_echelon(m)
         rank = len(pivots)
-        _, d, _ = smith_normal_form(m)
-        assert rank == sum(1 for i in range(min(len(m), ncols)) if d[i][i])
+        assert rank == rank_over_q(m)
         assert matrix_rank(m) == rank
         if pivots:
             common = out[0][pivots[0]]
@@ -173,6 +131,19 @@ class TestReducedEchelon:
 
     def test_no_rows_has_standard_kernel(self):
         assert kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+# (n, basis): up to n + 1 vectors in Z^n, with entries small enough that
+# saturated and rejected bases both come up often
+bases = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            max_size=n + 1,
+        ),
+    )
+)
 
 
 class TestRowHermite:
@@ -213,8 +184,8 @@ class TestQuotientProjection:
         proj = quotient_projection([(1, 1)])
         assert proj.apply((1, 1)) == (0,)
         assert proj.matrix == ((1, -1),)
-        _, d, _ = smith_normal_form(proj.matrix)
-        assert d[0][0] == 1
+        # (1, 1) and (0, 1) are a lattice basis; the image of (0, 1) spans Z
+        assert abs(det_over_q([proj.apply((0, 1))])) == 1
 
     def test_not_saturated(self):
         with pytest.raises(NotSaturatedError):
@@ -242,10 +213,46 @@ class TestQuotientProjection:
         assert len(proj.matrix) == n - r
         for b in basis:
             assert proj.apply(b) == (0,) * (n - r)
-        _, d, _ = smith_normal_form(proj.matrix)
-        assert all(d[i][i] == 1 for i in range(n - r))
+        # onto: the images of the completing columns of u form a lattice basis
+        completion = [tuple(row[i] for row in u) for i in range(r, n)]
+        assert abs(det_over_q([proj.apply(c) for c in completion])) == 1
 
     def test_deterministic(self):
         a = quotient_projection([(3, 1, 2)])
         b = quotient_projection([(3, 1, 2)])
         assert a == b == QuotientProjection(3, 1, a.matrix)
+
+    def test_inexact_coordinates_rejected(self):
+        with pytest.raises(TypeError, match="must be int"):
+            quotient_projection([(1.5, 0)])
+
+    @given(bases)
+    @settings(max_examples=300)
+    def test_rejected_iff_maximal_minors_not_coprime(self, case):
+        n, basis = case
+        r = len(basis)
+        minors = 0
+        for coords in combinations(range(n), r):
+            minors = gcd(minors, det_over_q([[b[i] for b in basis] for i in coords]))
+        try:
+            quotient_projection(basis, ambient_rank=n)
+        except NotSaturatedError:
+            assert minors != 1
+        else:
+            assert minors == 1
+
+    @given(bases)
+    @settings(max_examples=300)
+    def test_projection_in_reduced_row_hermite_form(self, case):
+        n, basis = case
+        try:
+            proj = quotient_projection(basis, ambient_rank=n)
+        except NotSaturatedError:
+            return
+        last = -1
+        for i, row in enumerate(proj.matrix):
+            assert any(row)
+            c = next(k for k, x in enumerate(row) if x)
+            assert c > last and row[c] > 0
+            assert all(0 <= above[c] < row[c] for above in proj.matrix[:i])
+            last = c

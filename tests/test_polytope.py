@@ -9,7 +9,6 @@ from fanorank.bounds import analyze
 from fanorank.formats import report_json
 from fanorank.lattice import ShapeMismatchError, determinant
 from fanorank.polytope import (
-    BadIndexError,
     FanoPolytope,
     NotFanoShapeError,
     _exhaustive_scan,
@@ -59,21 +58,6 @@ class TestFacets:
         shifted = FanoPolytope(2, ((1, 0), (0, 1), (1, 1)))
         with pytest.raises(NotFanoShapeError):
             shifted.face_lattice
-
-
-class TestIsFace:
-    def test_hexagon_adjacent_pair(self):
-        assert hexagon().is_face((0, 1))
-
-    def test_hexagon_skew_pair(self):
-        assert not hexagon().is_face((0, 2))
-
-    def test_empty_set_is_a_face(self):
-        assert hexagon().is_face(())
-
-    def test_out_of_range_index(self):
-        with pytest.raises(BadIndexError):
-            hexagon().is_face((0, 6))
 
 
 class TestValidation:
