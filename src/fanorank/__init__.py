@@ -28,7 +28,6 @@ from .formats import (
     polytope_to_text,
     report_json,
     report_to_dict,
-    write_report,
 )
 from .lattice import (
     QuotientProjection,
@@ -105,5 +104,4 @@ __all__ = [
     "simplex",
     "validate_smooth_fano",
     "verify_reid_cones",
-    "write_report",
 ]

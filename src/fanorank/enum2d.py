@@ -1,21 +1,29 @@
 """Exhaustive enumeration of smooth Fano polygons from a coordinate box.
 
-Serves as a ground-truth oracle at desk scale: every subset of the
-primitive vectors in the box is tested, survivors are deduplicated by
+Serves as a ground-truth oracle at desk scale: every smooth Fano polygon
+whose vertices lie in the box is found, survivors are deduplicated by
 canonical form, and the result is the classification of smooth toric
 del Pezzo surfaces when the box is large enough (radius 1 already is).
 
-A candidate subset is screened with an exact angular sweep first, which
-decides the full smooth Fano condition in 2D (see ``_smooth_fano_2d``);
-survivors are then re-checked with the general validator before being
-counted, so the screen only buys speed, never trust.
+The candidates come from a depth-first walk over rings of box vectors
+(``_rings``).  A smooth complete fan in the plane is a counterclockwise
+cycle ``v_0, ..., v_{k-1}`` with ``det(v_i, v_{i+1}) = 1``; consecutive
+determinants 1 force ``v_{i+1} = a_i v_i - v_{i-1}`` for an integer
+``a_i``, and the cycle closes after one full turn iff
+``sum a_i = 3k - 12`` (Oda, *Convex Bodies and Algebraic Geometry*;
+Fulton, *Introduction to Toric Varieties*).  The polygon
+on the rays turns by ``2 - a_i`` at ``v_i``, so it is strictly convex,
+hence Fano with every ray a vertex, iff every ``a_i <= 1``.  The walk
+therefore keeps three conditions: determinant 1 between neighbours, a
+turn with ``a_i <= 1``, and the closing sum.  Since ``a_i <= 1`` gives
+``3k - 12 <= k``, no ring has more than 6 vertices, which bounds the
+depth.  Each candidate is still re-checked with the general validator
+before being counted, so the walk only buys speed, never trust.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key
-from itertools import combinations
 
 from .lattice import Vector
 from .polytope import FanoPolytope, validate_smooth_fano
@@ -33,67 +41,52 @@ def primitive_vectors_in_box(box_radius: int) -> tuple[Vector, ...]:
     return tuple(sorted(out))
 
 
-def _angle_compare(a: Vector, b: Vector) -> int:
-    """Exact counterclockwise comparison of nonzero vectors from angle 0."""
-    ha = 0 if a[1] > 0 or (a[1] == 0 and a[0] > 0) else 1
-    hb = 0 if b[1] > 0 or (b[1] == 0 and b[0] > 0) else 1
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+def _rings(box_radius: int):
+    """Counterclockwise smooth Fano rings on box vectors, each exactly once.
 
-
-def _smooth_fano_2d(vectors: tuple[Vector, ...]) -> bool:
-    """Exact smooth Fano test for a set of distinct primitive plane vectors.
-
-    After sorting counterclockwise, the set is a smooth Fano polygon iff
-    every cyclically consecutive pair has cross product exactly 1 (the
-    angular gap is then under a half turn, so the origin is interior,
-    and the edge is unimodular) and the turn at every vertex is strictly
-    convex (so each point really is a hull vertex).
+    A ring is walked from its least vertex ``v0`` (in tuple order), so
+    every later vertex must be greater than ``v0``.  A step
+    ``v_{i+1} = a v_i - v_{i-1}`` has ``a <= 1`` for convexity and
+    ``a >= -2B``, below which no coordinate of ``v_{i+1}`` stays in the
+    box.
     """
-    m = len(vectors)
-    if m < 3:
-        return False
-    ring = sorted(vectors, key=cmp_to_key(_angle_compare))
-    for i in range(m):
-        a = ring[i]
-        b = ring[(i + 1) % m]
-        if a[0] * b[1] - a[1] * b[0] != 1:
-            return False
-    for i in range(m):
-        p = ring[i - 1]
-        v = ring[i]
-        nx = ring[(i + 1) % m]
-        ex, ey = v[0] - p[0], v[1] - p[1]
-        fx, fy = nx[0] - v[0], nx[1] - v[1]
-        if ex * fy - ey * fx <= 0:
-            return False
-    return True
+    vectors = primitive_vectors_in_box(box_radius)
+    in_box = set(vectors)
+
+    def walk(ring: list[Vector], total: int):
+        prev, cur = ring[-2], ring[-1]
+        v0 = ring[0]
+        for a in range(1, -2 * box_radius - 1, -1):
+            nxt = (a * cur[0] - prev[0], a * cur[1] - prev[1])
+            if nxt == v0:
+                # ring[1] + ring[-1] is an integer multiple a0 of the primitive v0.
+                s = (ring[1][0] + cur[0], ring[1][1] + cur[1])
+                a0 = (s[0] * v0[0] + s[1] * v0[1]) // (v0[0] ** 2 + v0[1] ** 2)
+                if a0 <= 1 and total + a + a0 == 3 * len(ring) - 12:
+                    yield tuple(ring)
+            elif len(ring) < 6 and nxt > v0 and nxt in in_box and nxt not in ring:
+                yield from walk(ring + [nxt], total + a)
+
+    for v0 in vectors:
+        for v1 in vectors:
+            if v1 > v0 and v0[0] * v1[1] - v0[1] * v1[0] == 1:
+                yield from walk([v0, v1], 0)
 
 
 def enumerate_2d(box_radius: int = 1) -> tuple[FanoPolytope, ...]:
     """Distinct smooth Fano polygons on primitive vectors from the box.
 
-    Tests all subsets of size 3..8, deduplicates by normal form, and
-    returns canonical representatives ordered by (vertex count, normal
-    form).  Radius 1 yields the five toric del Pezzo classes; larger
-    boxes must reproduce the same list.
+    Validates every ring from ``_rings``, deduplicates by normal form,
+    and returns canonical representatives ordered by (vertex count,
+    normal form).  Radius 1 yields the five toric del Pezzo classes;
+    larger boxes must reproduce the same list.
     """
-    vectors = primitive_vectors_in_box(box_radius)
     by_form: dict[tuple[Vector, ...], None] = {}
-    for size in range(3, 9):
-        for subset in combinations(vectors, size):
-            if not _smooth_fano_2d(subset):
-                continue
-            candidate = FanoPolytope(2, subset)
-            if not validate_smooth_fano(candidate).passed:
-                continue
-            by_form.setdefault(candidate.normal_form())
+    for ring in _rings(box_radius):
+        candidate = FanoPolytope(2, ring)
+        if not validate_smooth_fano(candidate).passed:
+            continue
+        by_form.setdefault(candidate.normal_form())
     forms = sorted(by_form, key=lambda f: (len(f), f))
     out = []
     seen_counts: dict[int, int] = {}

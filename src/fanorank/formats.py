@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .bounds import AnalysisReport, BoundCheck
 from .polytope import FanoPolytope, ValidationReport, free_sum, hexagon, simplex
@@ -246,13 +246,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def report_json(report: AnalysisReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
-
-
-def write_report(report: AnalysisReport, sink: IO[str]) -> str:
-    """Serialize one report as JSON and write it to the sink."""
-    text = report_json(report) + "\n"
-    sink.write(text)
-    return text
 
 
 def batch_to_dict(reports: Sequence[AnalysisReport]) -> dict:

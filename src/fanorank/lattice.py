@@ -305,6 +305,10 @@ def quotient_projection(
         n = len(basis[0])
         if any(len(b) != n for b in basis):
             raise ShapeMismatchError("kernel vectors have mixed lengths")
+        if ambient_rank is not None and ambient_rank != n:
+            raise ShapeMismatchError(
+                f"kernel vectors have length {n}, ambient_rank is {ambient_rank}"
+            )
     elif ambient_rank is not None:
         n = ambient_rank
     else:

@@ -4,11 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from fanorank.enum2d import (
-    _smooth_fano_2d,
-    enumerate_2d,
-    primitive_vectors_in_box,
-)
+from fanorank.enum2d import _rings, enumerate_2d, primitive_vectors_in_box
 from fanorank.polytope import FanoPolytope, hexagon, validate_smooth_fano
 
 
@@ -30,24 +26,35 @@ class TestPrimitiveVectors:
             primitive_vectors_in_box(0)
 
 
-class TestAngularScreen:
+def _ring_vertex_sets(box_radius):
+    return {tuple(sorted(ring)) for ring in _rings(box_radius)}
+
+
+class TestRings:
     def test_agrees_with_general_validator_on_all_box1_subsets(self):
         vecs = primitive_vectors_in_box(1)
+        rings = _ring_vertex_sets(1)
         for size in range(3, 9):
             for subset in combinations(vecs, size):
-                fast = _smooth_fano_2d(subset)
                 slow = validate_smooth_fano(FanoPolytope(2, subset)).passed
-                assert fast == slow, subset
+                assert (subset in rings) == slow, subset
 
     def test_agrees_on_random_box2_subsets(self):
         rng = random.Random(42)
         vecs = primitive_vectors_in_box(2)
+        rings = _ring_vertex_sets(2)
         for _ in range(300):
             size = rng.randint(3, 8)
             subset = tuple(sorted(rng.sample(vecs, size)))
-            fast = _smooth_fano_2d(subset)
             slow = validate_smooth_fano(FanoPolytope(2, subset)).passed
-            assert fast == slow, subset
+            assert (subset in rings) == slow, subset
+
+    @pytest.mark.parametrize("box_radius, count", [(1, 35), (2, 103)])
+    def test_each_ring_once_and_valid(self, box_radius, count):
+        rings = list(_rings(box_radius))
+        assert len(rings) == len(_ring_vertex_sets(box_radius)) == count
+        for ring in rings:
+            assert validate_smooth_fano(FanoPolytope(2, ring)).passed, ring
 
 
 class TestEnumeration:

@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -14,8 +13,8 @@ from fanorank.formats import (
     parse_polytopes,
     polytope_to_text,
     polytopes_to_text,
+    report_json,
     report_to_dict,
-    write_report,
 )
 from fanorank.polytope import FanoPolytope, hexagon, simplex
 
@@ -131,11 +130,11 @@ class TestReports:
         assert data["minimal_components"] == []
         assert data["checks"] == []
 
-    def test_write_report_round_trips_through_json(self):
-        sink = io.StringIO()
-        text = write_report(analyze(simplex(2)), sink)
-        assert sink.getvalue() == text
-        assert json.loads(text)["picard_rank"] == 1
+    def test_report_json_round_trips_through_json(self):
+        report = analyze(simplex(2))
+        data = json.loads(report_json(report))
+        assert data == report_to_dict(report)
+        assert data["picard_rank"] == 1
 
     def test_serialization_is_stable(self):
         a = json.dumps(report_to_dict(analyze(hexagon())), sort_keys=True)

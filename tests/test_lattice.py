@@ -200,6 +200,13 @@ class TestQuotientProjection:
         assert proj.matrix == identity_matrix(3)
         assert proj.kernel_rank == 0
 
+    def test_mismatched_ambient_rank_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="ambient_rank"):
+            quotient_projection([(1, 0, 0)], ambient_rank=2)
+        assert quotient_projection([(1, 0, 0)], ambient_rank=3) == quotient_projection(
+            [(1, 0, 0)]
+        )
+
     @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 3))
     @settings(max_examples=80)
     def test_invariants_on_random_saturated_bases(self, seed, n, r):
