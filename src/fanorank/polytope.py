@@ -7,19 +7,20 @@ Fano varieties through their face fans.  This module owns the polytope
 side of that dictionary: facet enumeration by exact ridge pivoting
 (gift-wrapping, Chand and Kapur 1970), validation of the smooth Fano
 conditions, a canonical form for unimodular-equivalence tests, and the
-standard constructions (simplices, the hexagon, free sums).  Inputs the
-walk cannot finish (non-simplicial hulls, points that are not vertices,
-the origin on a facet hyperplane) go to an exhaustive hyperplane scan,
-which gathers the evidence the validation report quotes.
+standard constructions (simplices, the hexagon, free sums).  The walk
+finishes every full-dimensional input: a facet that holds more than
+``n`` points, or whose hyperplane passes through the origin, has its
+ridges found by the same walk one dimension down, so the validation
+report's evidence against simpliciality comes from the facets it found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 from operator import mul
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .lattice import (
     InternalInconsistencyError,
@@ -31,7 +32,6 @@ from .lattice import (
     kernel_basis,
     mat_vec,
     matrix_rank,
-    primitive_part,
     reduced_echelon,
     unimodular_inverse,
 )
@@ -52,67 +52,6 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _affine_normal(pts: Sequence[Vector]) -> Vector | None:
-    """Primitive integer normal of the affine hull of ``n`` points in Z^n.
-
-    Returns None when the points do not span a hyperplane.
-    """
-    base = pts[0]
-    diffs = [[a - b for a, b in zip(q, base)] for q in pts[1:]]
-    kernel = kernel_basis(diffs, len(base))
-    return primitive_part(kernel[0]) if len(kernel) == 1 else None
-
-
-def _exhaustive_scan(verts: Sequence[Vector], n: int) -> tuple[list[Facet], list]:
-    """Supporting-hyperplane search over all n-subsets of the points.
-
-    Returns (facets, evidence) where facets lists (indices, outward
-    normal, offset) triples with every other point strictly below the
-    hyperplane, in the order of the subsets, and evidence lists one-sided
-    hyperplanes that contain extra points as (indices, extra indices,
-    offset), the witnesses against simpliciality.  Offsets are oriented
-    so the points lie on the side ``<= c``.  The cost is C(m, n)
-    hyperplanes, each tested against every point.
-    """
-    m = len(verts)
-    facets = []
-    evidence = []
-    allidx = range(m)
-    for subset in combinations(allidx, n):
-        pts = [verts[i] for i in subset]
-        u = _affine_normal(pts)
-        if u is None:
-            continue
-        c = _dot(u, pts[0])
-        chosen = set(subset)
-        above = below = False
-        on: list[int] = []
-        for w in allidx:
-            if w in chosen:
-                continue
-            t = _dot(u, verts[w])
-            if t > c:
-                above = True
-                if below:
-                    break
-            elif t < c:
-                below = True
-                if above:
-                    break
-            else:
-                on.append(w)
-        if above and below:
-            continue
-        if above:
-            u = tuple(-x for x in u)
-            c = -c
-        if on:
-            evidence.append((subset, tuple(on), c))
-        else:
-            facets.append((subset, u, c))
-    return facets, evidence
-
-
 def _widest_pivot(
     u: Sequence[int],
     c: int,
@@ -121,17 +60,16 @@ def _widest_pivot(
     delta: int,
     verts: Sequence[Vector],
     skip: Container[int],
-) -> tuple[Vector, int, list[int]] | None:
+) -> tuple[Vector, int, list[int]]:
     """Rotate the hyperplane ``u.x = c`` about its meet with ``v.x = delta``.
 
     ``heights[w]`` is ``c - u.w``, which must be positive for every point
-    outside ``skip``.  The rotated hyperplane ``b u + a v`` (offset
-    ``b c + a delta``) is the first of the pencil to touch another point:
-    for a point ``w``, ``a = c - u.w`` and ``b = v.w - delta``, and the
-    touching points are those of largest ``b / a``, compared by
-    cross-multiplication.  Returns (primitive normal, offset, touching
-    points), or None when a point outside ``skip`` is not strictly below
-    ``u.x = c`` or no point is left.
+    outside ``skip``, and at least one point must lie outside ``skip``.
+    The rotated hyperplane ``b u + a v`` (offset ``b c + a delta``) is the
+    first of the pencil to touch another point: for a point ``w``,
+    ``a = c - u.w`` and ``b = v.w - delta``, and the touching points are
+    those of largest ``b / a``, compared by cross-multiplication.
+    Returns (primitive normal, offset, touching points).
     """
     best_a, best_b = 1, None
     touching: list[int] = []
@@ -140,71 +78,89 @@ def _widest_pivot(
             continue
         a = heights[w]
         if a <= 0:
-            return None
+            raise InternalInconsistencyError(f"point {w} is not below the hyperplane {u}")
         b = _dot(v, vert) - delta
         if best_b is None or b * best_a > best_b * a:
             best_a, best_b, touching = a, b, [w]
         elif b * best_a == best_b * a:
             touching.append(w)
-    if best_b is None:
-        return None
     normal = [best_b * x + best_a * y for x, y in zip(u, v)]
     g = content(normal)
     return tuple(x // g for x in normal), (best_b * c + best_a * delta) // g, touching
 
 
-def _first_facet(verts: Sequence[Vector], n: int) -> Facet | None:
-    """One facet, found by pivoting a hyperplane until it holds n points.
+def _first_facet(verts: Sequence[Vector], n: int) -> Facet:
+    """One facet hyperplane with all of its points, found by pivoting.
 
-    The start touches only the lexicographically largest point: its
-    normal ``(M^(n-1), ..., M, 1)`` orders the points lexicographically
-    once ``M`` exceeds every coordinate difference.  Each pivot rotates
-    the hyperplane about the face it touches, towards a direction that is
-    constant on that face, so it keeps touching only points of one face
-    and gains at least one.  Returns None when the touched points are
-    affinely dependent or more than n, which no simplicial hull whose
-    points are all vertices allows, or when the points are not
-    full-dimensional.
+    The start touches only the lexicographically largest point and its
+    copies: its normal ``(M^(n-1), ..., M, 1)`` orders the points
+    lexicographically once ``M`` exceeds every coordinate difference.
+    Each pivot rotates the hyperplane about the face it touches, towards
+    a direction that is constant on that face, so it keeps touching only
+    points of one face and gains at least one point off the face's affine
+    hull.  It stops when the touched points span a hyperplane.
     """
-    top = max(range(len(verts)), key=verts.__getitem__)
+    top = max(verts)
     big = 2 * max(abs(x) for vert in verts for x in vert) + 1
     u = tuple(big ** (n - 1 - k) for k in range(n))
-    c = _dot(u, verts[top])
-    face = [top]
+    c = _dot(u, top)
+    face = [w for w, vert in enumerate(verts) if vert == top]
     while True:
         base = verts[face[0]]
         kernel = kernel_basis([[a - b for a, b in zip(verts[i], base)] for i in face[1:]], n)
-        if len(kernel) != n + 1 - len(face):
-            return None
-        if len(face) == n:
+        if len(kernel) == 1:
             return tuple(sorted(face)), u, c
         v = next(x for x in kernel if matrix_rank((u, x)) == 2)
         heights = [c - _dot(u, vert) for vert in verts]
-        pivot = _widest_pivot(u, c, heights, v, _dot(v, base), verts, set(face))
-        if pivot is None:
-            return None
-        u, c, touching = pivot
+        u, c, touching = _widest_pivot(u, c, heights, v, _dot(v, base), verts, set(face))
         face += touching
 
 
-def _pivot_walk(verts: Sequence[Vector], n: int) -> list[Facet] | None:
-    """All facets of a simplicial hull by crossing each ridge exactly once.
+def _lifted_ridges(
+    verts: Sequence[Vector], n: int, idx: tuple[int, ...], u: Vector
+) -> Iterator[tuple[int, Vector, int]]:
+    """(ridge mask, v, delta) for each ridge of the facet ``idx`` with normal ``u``.
 
-    From a facet with outward normal ``u`` and offset ``c``, one
-    fraction-free Gauss-Jordan elimination of its vertex matrix gives the
-    dual rows ``phi_i`` with ``phi_i . p_j = 0`` for ``j != i`` and
-    ``phi_i . p_i > 0``; ``phi_i`` vanishes on the ridge opposite vertex
-    ``i``, so the neighbouring facet across that ridge is the widest
-    pivot of ``u`` towards ``v = -phi_i``.  Returns the facets as
-    (indices, outward normal, offset) in index order, exactly the
-    triples of ``_exhaustive_scan``, or None where that scan must decide:
-    a tie for the pivot (more than n points on a facet hyperplane), a
-    point other than the facet's own on its hyperplane, or the origin on
-    a facet hyperplane (a singular facet matrix).
+    The facet is walked one dimension down.  Dropping a coordinate where
+    ``u`` is nonzero maps its hyperplane affinely onto ``Q^(n-1)``, and
+    the image is scaled about the facet's centroid, so that no facet of
+    the image passes through its origin.  Each facet ``w.y <= d`` of the
+    image lifts to ``v = w`` with a zero at the dropped coordinate:
+    ``v.x = delta`` holds on the ridge's points and ``v.x < delta`` on
+    the facet's other points.
     """
+    j = next(k for k, x in enumerate(u) if x)
+    pts = [verts[i][:j] + verts[i][j + 1 :] for i in idx]
+    total = [sum(col) for col in zip(*pts)]
+    image = [tuple(len(pts) * x - t for x, t in zip(p, total)) for p in pts]
+    for sub, w, _ in _pivot_walk(image, n - 1):
+        v = w[:j] + (0,) + w[j:]
+        yield sum(1 << idx[s] for s in sub), v, _dot(v, verts[idx[sub[0]]])
+
+
+def _pivot_walk(verts: Sequence[Vector], n: int) -> list[Facet]:
+    """Every facet hyperplane of a full-dimensional hull, by crossing each ridge once.
+
+    A facet is (all points on its hyperplane, primitive outward normal,
+    offset), so a non-simplicial facet or a repeated point keeps all of
+    its points together.  From a facet of ``n`` points with outward
+    normal ``u`` and offset ``c != 0``, one fraction-free Gauss-Jordan
+    elimination of its vertex matrix gives the dual rows ``phi_i`` with
+    ``phi_i . p_j = 0`` for ``j != i`` and ``phi_i . p_i > 0``; ``phi_i``
+    vanishes on the ridge opposite vertex ``i``, so the neighbouring facet
+    across that ridge is the widest pivot of ``u`` towards
+    ``v = -phi_i``.  Any other facet takes its ridges from the same walk
+    one dimension down (``_lifted_ridges``).  In dimension 1 the facets
+    are the least and the largest point, each with its copies.  Returns
+    the facets in index order.
+    """
+    if n == 1:
+        xs = [x for x, in verts]
+        lo, hi = min(xs), max(xs)
+        top = tuple(w for w, x in enumerate(xs) if x == hi)
+        bottom = tuple(w for w, x in enumerate(xs) if x == lo)
+        return sorted([(top, (1,), hi), (bottom, (-1,), -lo)])
     first = _first_facet(verts, n)
-    if first is None:
-        return None
     unit = [[int(j == k) for j in range(n)] for k in range(n)]
     first_mask = sum(1 << i for i in first[0])
     found = {first_mask: first}
@@ -212,29 +168,31 @@ def _pivot_walk(verts: Sequence[Vector], n: int) -> list[Facet] | None:
     todo = [(first_mask, first)]
     while todo:
         mask, (idx, u, c) = todo.pop()
-        if c == 0:
-            return None
-        rows, _ = reduced_echelon(
-            [[verts[i][k] for i in idx] + unit[k] for k in range(n)]
-        )
-        sign = 1 if rows[0][0] > 0 else -1
         heights = [c - _dot(u, vert) for vert in verts]
-        for r, i in enumerate(idx):
-            ridge = mask & ~(1 << i)
+        if len(idx) == n and c:
+            rows, _ = reduced_echelon(
+                [[verts[i][k] for i in idx] + unit[k] for k in range(n)]
+            )
+            sign = -1 if rows[0][0] > 0 else 1
+            # v is built only for ridges not crossed yet
+            ridges = (
+                (ridge, [sign * x for x in rows[r][n:]], 0)
+                for r, i in enumerate(idx)
+                if (ridge := mask & ~(1 << i)) not in crossed
+            )
+        else:
+            ridges = _lifted_ridges(verts, n, idx, u)
+        for ridge, v, delta in ridges:
             if ridge in crossed:
                 continue
             crossed.add(ridge)
-            v = [-sign * x for x in rows[r][n:]]
-            pivot = _widest_pivot(u, c, heights, v, 0, verts, idx)
-            if pivot is None:
-                return None
-            normal, offset, touching = pivot
-            if len(touching) > 1:
-                return None
-            new_mask = ridge | 1 << touching[0]
+            normal, offset, touching = _widest_pivot(u, c, heights, v, delta, verts, idx)
+            new_mask = ridge
+            for w in touching:
+                new_mask |= 1 << w
             if new_mask not in found:
-                facet = (tuple(sorted(set(idx) - {i} | {touching[0]})), normal, offset)
-                found[new_mask] = facet
+                new_idx = tuple(sorted([w for w in idx if ridge >> w & 1] + touching))
+                found[new_mask] = facet = (new_idx, normal, offset)
                 todo.append((new_mask, facet))
     return sorted(found.values())
 
@@ -296,12 +254,6 @@ class ValidationReport:
     def failures(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.conditions if not c.passed)
 
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class FanoPolytope:
@@ -320,6 +272,10 @@ class FanoPolytope:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if type(self.dim) is not int:
+            raise TypeError(
+                f"dimension must be int, got {self.dim!r} of type {type(self.dim).__name__}"
+            )
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         verts = tuple(int_vector(v, "vertex") for v in self.vertices)
@@ -335,22 +291,17 @@ class FanoPolytope:
     # -- hull ------------------------------------------------------------
 
     @cached_property
-    def _hull_scan(self) -> tuple[list[Facet], list]:
-        """Facets of the hull by exact ridge pivoting, with evidence.
+    def _hull_scan(self) -> list[Facet]:
+        """Every facet hyperplane of the full-dimensional hull, by exact ridge pivoting.
 
-        Returns (facets, evidence) as ``_exhaustive_scan`` does: facets
-        are (indices, outward normal, offset) triples in index order, and
-        evidence lists the one-sided hyperplanes that hold extra points.
-        A simplicial hull whose points are all vertices, with the origin
-        on no facet hyperplane, is walked facet by facet at a cost of
-        about facets * n * m dot products, and has no evidence.  Any
-        other input stops the walk and takes the exhaustive scan, so the
-        validation report sees the same facets and evidence either way.
+        Each entry is (indices of all points on the hyperplane, primitive
+        outward normal, offset), in index order; the validation report and
+        ``face_lattice`` derive everything they read from this list.  A
+        facet of ``n`` points off the origin costs about n * m dot
+        products; any other facet is walked one dimension down
+        (``_pivot_walk``).
         """
-        facets = _pivot_walk(self.vertices, self.dim)
-        if facets is None:
-            return _exhaustive_scan(self.vertices, self.dim)
-        return facets, []
+        return _pivot_walk(self.vertices, self.dim)
 
     @cached_property
     def _affine_rank(self) -> int:
@@ -371,17 +322,14 @@ class FanoPolytope:
         """
         if self._affine_rank < self.dim:
             raise NotFanoShapeError("polytope is not full-dimensional")
-        facets, evidence = self._hull_scan
-        if any(c <= 0 for _, _, c in facets) or any(c <= 0 for _, _, c in evidence):
+        hyperplanes = self._hull_scan
+        if any(c <= 0 for _, _, c in hyperplanes):
             raise NotFanoShapeError("origin is not an interior point")
-        if evidence:
+        if any(len(pts) > self.dim for pts, _, _ in hyperplanes):
             raise NotFanoShapeError("polytope is not simplicial")
-        incident = set()
-        for subset, _, _ in facets:
-            incident.update(subset)
-        if len(incident) != len(self.vertices):
+        if len(set().union(*(pts for pts, _, _ in hyperplanes))) != len(self.vertices):
             raise NotFanoShapeError("some input point is not a vertex of the hull")
-        return FaceLattice(self.dim, tuple(sorted(f for f, _, _ in facets)))
+        return FaceLattice(self.dim, tuple(pts for pts, _, _ in hyperplanes))
 
     # -- validation --------------------------------------------------------
 
@@ -414,6 +362,29 @@ class FanoPolytope:
         if best is None:
             raise InternalInconsistencyError("a validated polytope has no facets")
         return best
+
+
+def _least_basis(
+    pts: tuple[int, ...], verts: Sequence[Vector]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(least affinely independent spanning subset of ``pts``, the other points).
+
+    Affine independence makes a matroid on the points, so taking each
+    point in index order when it raises the affine rank gives the
+    lexicographically least basis.  The least of these over the facets
+    with extra points is the least ``n``-subset spanning such a facet,
+    which the report quotes as its witness against simpliciality.
+    """
+    base = verts[pts[0]]
+    basis, rest, diffs = [pts[0]], [], []
+    for i in pts[1:]:
+        row = [a - b for a, b in zip(verts[i], base)]
+        if matrix_rank(diffs + [row]) > len(diffs):
+            diffs.append(row)
+            basis.append(i)
+        else:
+            rest.append(i)
+    return tuple(basis), tuple(rest)
 
 
 def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
@@ -464,10 +435,8 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
             conditions.append(ConditionResult(name, False, skipped))
         return ValidationReport(p.name, tuple(conditions))
 
-    facets, evidence = p._hull_scan
-    min_offset = min(
-        [c for _, _, c in facets] + [c for _, _, c in evidence], default=0
-    )
+    hyperplanes = p._hull_scan
+    min_offset = min(c for _, _, c in hyperplanes)
     conditions.append(
         ConditionResult(
             "origin_interior",
@@ -476,23 +445,21 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
         )
     )
 
+    witness = min(
+        (_least_basis(pts, verts) for pts, _, _ in hyperplanes if len(pts) > n),
+        default=None,
+    )
     conditions.append(
         ConditionResult(
             "simplicial",
-            not evidence,
+            witness is None,
             ""
-            if not evidence
-            else f"facet hyperplane with extra vertices, e.g. {evidence[0][0]} + {evidence[0][1]}",
+            if witness is None
+            else f"facet hyperplane with extra vertices, e.g. {witness[0]} + {witness[1]}",
         )
     )
 
-    incident: set[int] = set()
-    for subset, _, _ in facets:
-        incident.update(subset)
-    for subset, on, _ in evidence:
-        incident.update(subset)
-        incident.update(on)
-    loose = sorted(set(range(m)) - incident)
+    loose = sorted(set(range(m)).difference(*(pts for pts, _, _ in hyperplanes)))
     conditions.append(
         ConditionResult(
             "vertices_extremal",
@@ -502,9 +469,9 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
     )
 
     bad_facets = [
-        subset
-        for subset, _, _ in facets
-        if abs(determinant([verts[i] for i in subset])) != 1
+        pts
+        for pts, _, _ in hyperplanes
+        if len(pts) == n and abs(determinant([verts[i] for i in pts])) != 1
     ]
     conditions.append(
         ConditionResult(

@@ -4,7 +4,8 @@ Everything here is deliberately written against the definitions, not
 against the library internals, so that the main code paths are checked
 by a second route: a face set built as frozensets from the maximal cones,
 brute-force subset scans over it for primitive collections, extension
-counts and Reid cone checks, an angular-sort hull for 2D facets,
+counts and Reid cone checks, an angular-sort hull for 2D facets, a
+scan of every ``n``-subset's hyperplane for the facets of any hull,
 Gaussian elimination over ``Fraction`` for ranks and determinants, and
 elementary-matrix products for random unimodular maps.  Nothing here
 reads the library's face data (its incidence masks, ``face_set`` or
@@ -14,6 +15,7 @@ reads the library's face data (its incidence masks, ``face_set`` or
 from fractions import Fraction
 from functools import cache, cmp_to_key
 from itertools import combinations
+from math import gcd
 
 from fanorank import FanoPolytope
 from fanorank.lattice import mat_vec
@@ -141,6 +143,63 @@ def rank_over_q(m):
 def det_over_q(m):
     """Determinant of a square integer matrix by Gaussian elimination over ``Fraction``."""
     return int(_eliminate_over_q(m)[1])
+
+
+def brute_force_hull(verts, n):
+    """Supporting hyperplanes through every affinely independent n-subset of the points.
+
+    Returns (hyperplanes, evidence).  ``hyperplanes`` is the sorted list of
+    distinct (indices of all points on it, primitive outward normal,
+    offset) with every point on the side ``<= offset``.  ``evidence``
+    lists, in subset order, each n-subset whose hyperplane holds other
+    points too, as (subset, other points on it, offset): the witnesses
+    against simpliciality.  Subsets grow depth first in index order, each
+    carrying an integer basis of the vectors orthogonal to its differences
+    from its first point; a point whose difference is orthogonal to that
+    whole basis lies in the subset's affine hull and is skipped, and at
+    size n the one vector left is the hyperplane's normal.  The cost is
+    C(m, n) hyperplanes, each tested against every point.
+    """
+    m = len(verts)
+    hyperplanes = set()
+    evidence = []
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def grow(subset, complement):
+        if len(subset) == n:
+            g = gcd(*complement[0])
+            u = tuple(x // g for x in complement[0])
+            c = dot(u, verts[subset[0]])
+            heights = [dot(u, v) - c for v in verts]
+            if max(heights) > 0 and min(heights) < 0:
+                return
+            if max(heights) > 0:
+                u, c = tuple(-x for x in u), -c
+            on = tuple(i for i, h in enumerate(heights) if h == 0)
+            hyperplanes.add((on, u, c))
+            if len(on) > n:
+                evidence.append((subset, tuple(i for i in on if i not in subset), c))
+            return
+        for i in range(subset[-1] + 1, m - n + len(subset) + 1):
+            d = [a - b for a, b in zip(verts[i], verts[subset[0]])]
+            dots = [dot(k, d) for k in complement]
+            p = next((j for j, x in enumerate(dots) if x), None)
+            if p is None:
+                continue
+            kp = complement[p]
+            rest = [
+                [dots[p] * a - x * b for a, b in zip(k, kp)]
+                for j, (k, x) in enumerate(zip(complement, dots))
+                if j != p
+            ]
+            grow(subset + (i,), [[a // gcd(*k) for a in k] for k in rest])
+
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    for first in range(m - n + 1):
+        grow((first,), unit)
+    return sorted(hyperplanes), evidence
 
 
 def random_unimodular(n, rng, steps=25):

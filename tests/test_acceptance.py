@@ -192,3 +192,17 @@ def test_criterion_11_hexagon_power_four():
     assert validate_smooth_fano(p).passed
     assert elapsed < 5.0, f"face lattice took {elapsed:.2f}s"
     _report("11 hexagon^4 validates with 1296 facets, face lattice in under 5 s")
+
+
+def test_criterion_12_non_simplicial_rejection_budget():
+    p = construct("product(simplex:2,hexagon,hexagon,hexagon)")
+    q = FanoPolytope(p.dim, p.vertices + ((1,) * p.dim,), "plus a point")
+    start = time.perf_counter()
+    report = validate_smooth_fano(q)
+    elapsed = time.perf_counter() - start
+    assert report.failures == ("simplicial",)
+    assert report.conditions[4].detail == (
+        "facet hyperplane with extra vertices, e.g. (0, 1, 3, 4, 12, 13, 18, 19) + (21,)"
+    )
+    assert elapsed < 10.0, f"validation took {elapsed:.2f}s"
+    _report("12 simplex:2 x hexagon^3 plus (1,...,1) rejected as non-simplicial in under 10 s")

@@ -11,6 +11,7 @@ from fanorank.formats import polytope_to_text, polytopes_to_text
 from fanorank.polytope import FanoPolytope, hexagon, simplex
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -153,6 +154,12 @@ class TestBatchCommand:
             assert code == 1
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_golden_invalid_inputs_byte_identical(self, capsys):
+        # golden_batch.json was written by the C(m, n) subset-scan hull
+        code, out = run_main(capsys, "batch", str(DATA / "golden.poly"))
+        assert code == 1
+        assert out.encode("utf-8") == (DATA / "golden_batch.json").read_bytes()
 
 
 class TestModuleEntryPoint:

@@ -4,22 +4,25 @@ from fractions import Fraction
 import pytest
 
 from fanorank import construct
-from fanorank import polytope as polytope_module
 from fanorank.bounds import analyze
-from fanorank.formats import report_json
 from fanorank.lattice import ShapeMismatchError, determinant
 from fanorank.polytope import (
     FanoPolytope,
     NotFanoShapeError,
-    _exhaustive_scan,
-    _pivot_walk,
     free_sum,
     hexagon,
     simplex,
     validate_smooth_fano,
 )
 
-from helpers import NON_PRODUCTS, hull_edges_by_angle, random_unimodular, transformed_copy
+from helpers import (
+    NON_PRODUCTS,
+    brute_force_hull,
+    hull_edges_by_angle,
+    random_unimodular,
+    rank_over_q,
+    transformed_copy,
+)
 
 
 class TestFacets:
@@ -146,6 +149,16 @@ class TestConstructors:
         with pytest.raises(TypeError, match="must be int"):
             FanoPolytope(2, ((bad, 0), (0, 1), (-1, -1)))
 
+    @pytest.mark.parametrize(
+        "dim, verts",
+        [(2.0, ((1, 0), (0, 1), (-1, -1))), (True, ((1,), (-1,)))],
+        ids=["float", "bool"],
+    )
+    def test_non_int_dim_rejected(self, dim, verts):
+        # 2.0 made analyze raise; True serialized as "dim": true
+        with pytest.raises(TypeError, match="dimension must be int"):
+            FanoPolytope(dim, verts)
+
 
 class TestNormalForm:
     def test_permuted_simplex_equal(self):
@@ -188,16 +201,31 @@ BAD_INPUTS = {
 }
 
 
-def assert_pivot_matches_scan(p):
-    facets, evidence = _exhaustive_scan(p.vertices, p.dim)
-    assert not evidence, p.name
-    assert _pivot_walk(p.vertices, p.dim) == facets, p.name
+def assert_walk_matches_oracle(p):
+    """Same facet hyperplanes as the subset scan, and its first witness quoted."""
+    hyperplanes, evidence = brute_force_hull(p.vertices, p.dim)
+    assert p._hull_scan == hyperplanes, p.name
+    details = {c.name: c.detail for c in validate_smooth_fano(p).conditions}
+    witness = ""
+    if evidence:
+        subset, extra, _ = evidence[0]
+        witness = f"facet hyperplane with extra vertices, e.g. {subset} + {extra}"
+    assert details["simplicial"] == witness, p.name
+
+
+def random_point_set(rng):
+    """n + 1 to n + 5 points of [-2, 2]^n, n in 2..4; in one set of five, one point twice."""
+    n = rng.randint(2, 4)
+    verts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 5))]
+    if rng.random() < 0.2:
+        verts.insert(rng.randrange(len(verts) + 1), rng.choice(verts))
+    return n, tuple(verts)
 
 
 class TestPivotAgainstScan:
     def test_corpus(self, corpus):
         for _, p in corpus:
-            assert_pivot_matches_scan(p)
+            assert_walk_matches_oracle(p)
 
     @pytest.mark.parametrize(
         "spec", ["product(hexagon,hexagon,hexagon)", "product(simplex:2,hexagon,hexagon)"]
@@ -206,32 +234,33 @@ class TestPivotAgainstScan:
         rng = random.Random(spec)
         p = construct(spec)
         for _ in range(10):
-            assert_pivot_matches_scan(transformed_copy(p, random_unimodular(p.dim, rng), rng))
+            assert_walk_matches_oracle(transformed_copy(p, random_unimodular(p.dim, rng), rng))
 
     @pytest.mark.parametrize("name", sorted(NON_PRODUCTS))
     def test_non_products(self, name):
         dim, verts = NON_PRODUCTS[name]
         p = FanoPolytope(dim, verts, name)
         assert validate_smooth_fano(p).passed
-        assert_pivot_matches_scan(p)
+        assert_walk_matches_oracle(p)
 
     @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-    def test_bad_input_reports_unchanged(self, name, monkeypatch):
+    def test_bad_input_reports_unchanged(self, name):
         dim, verts = BAD_INPUTS[name]
-        walked = FanoPolytope(dim, verts, name)
-        text = report_json(analyze(walked))
-        assert not walked.validate().passed
-        monkeypatch.setattr(polytope_module, "_pivot_walk", lambda verts, n: None)
-        scanned = FanoPolytope(dim, verts, name)
-        assert scanned._hull_scan == _exhaustive_scan(verts, dim)
-        assert walked._hull_scan == scanned._hull_scan
-        assert report_json(analyze(scanned)) == text
+        p = FanoPolytope(dim, verts, name)
+        assert not analyze(p).valid
+        assert_walk_matches_oracle(p)
 
-    def test_valid_inputs_never_reach_the_scan(self, corpus, monkeypatch):
-        def refuse(verts, n):
-            raise AssertionError("exhaustive scan on a valid input")
-
-        monkeypatch.setattr(polytope_module, "_exhaustive_scan", refuse)
-        members = [(p.dim, p.vertices) for _, p in corpus] + list(NON_PRODUCTS.values())
-        for dim, verts in members:
-            assert validate_smooth_fano(FanoPolytope(dim, verts)).passed
+    def test_random_point_sets(self):
+        rng = random.Random(6)
+        checked = non_simplicial = repeated = 0
+        while checked < 300:
+            n, verts = random_point_set(rng)
+            if rank_over_q([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]) < n:
+                continue
+            p = FanoPolytope(n, verts)
+            assert_walk_matches_oracle(p)
+            checked += 1
+            non_simplicial += any(len(pts) > n for pts, _, _ in p._hull_scan)
+            repeated += len(set(verts)) < len(verts)
+        # the sample must reach the walk one dimension down and repeated points
+        assert non_simplicial > 150 and repeated > 30, (non_simplicial, repeated)
