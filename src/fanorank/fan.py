@@ -4,8 +4,11 @@ The face fan of a validated Fano polytope has the polytope's vertices as
 primitive ray generators and its facets as maximal cones.  A set of
 rays spans a cone iff the AND of their facet-incidence bitmasks is
 nonzero, so no face is ever built as a set.  Because every maximal cone
-is unimodular, locating a lattice point means solving one integer-inverse
-system per cone, with no rounding anywhere.  The star quotient
+is unimodular, locating a lattice point means multiplying it by the
+cone's integer inverse, with no rounding anywhere.  A face fan takes
+those inverses from the polytope's facet walk, which carries each
+facet's dual basis; a fan built by hand inverts a cone the first time
+a query reaches it.  The star quotient
 construction collapses a cone to produce the fan of the corresponding
 intersection of toric divisors, keeping enough lifting data to pull
 quotient rays back to original generators.
@@ -76,8 +79,17 @@ class Fan:
 
     @classmethod
     def from_polytope(cls, p: FanoPolytope) -> "Fan":
-        """Face fan of a validated polytope: rays are vertices, cones are facets."""
-        return cls(p.dim, p.vertices, p.face_lattice.facets)
+        """Face fan of a validated polytope: rays are vertices, cones are facets.
+
+        The inverse of each unimodular cone is the dual basis ``(1, B^-1)``
+        that the facet walk carried, so point location inverts nothing.
+        """
+        fan = cls(p.dim, p.vertices, p.face_lattice.facets)
+        duals = p._hull[1]
+        fan.__dict__["_inverse_cache"] = {
+            ci: duals[cone][1] for ci, cone in enumerate(fan.max_cones) if duals[cone][0] == 1
+        }
+        return fan
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:

@@ -24,10 +24,11 @@ from typing import Container, Iterable, Iterator, Sequence
 
 from .lattice import (
     InternalInconsistencyError,
+    Matrix,
     ShapeMismatchError,
     Vector,
     content,
-    determinant,
+    determinant,  # noqa: F401  (the benchmark's traced run wraps polytope.determinant)
     int_vector,
     kernel_basis,
     mat_vec,
@@ -46,6 +47,9 @@ class BadIndexError(IndexError):
 
 
 Facet = tuple[tuple[int, ...], Vector, int]
+# (d, D) for a facet whose points, as the columns of B in index order, are
+# linearly independent: d = |det B| and D = d B^-1, so D.B = d I.
+DualBasis = tuple[int, Matrix]
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -133,56 +137,102 @@ def _lifted_ridges(
     pts = [verts[i][:j] + verts[i][j + 1 :] for i in idx]
     total = [sum(col) for col in zip(*pts)]
     image = [tuple(len(pts) * x - t for x, t in zip(p, total)) for p in pts]
-    for sub, w, _ in _pivot_walk(image, n - 1):
+    for sub, w, _ in _pivot_walk(image, n - 1)[0]:
         v = w[:j] + (0,) + w[j:]
         yield sum(1 << idx[s] for s in sub), v, _dot(v, verts[idx[sub[0]]])
 
 
-def _pivot_walk(verts: Sequence[Vector], n: int) -> list[Facet]:
+def _dual_basis(verts: Sequence[Vector], idx: tuple[int, ...], n: int) -> DualBasis:
+    """The facet's dual basis from scratch: one fraction-free Gauss-Jordan
+    elimination takes ``[B | I]`` to ``[e I | e B^-1]`` with ``e = +-det B``."""
+    rows, _ = reduced_echelon(
+        [[verts[i][k] for i in idx] + [int(j == k) for j in range(n)] for k in range(n)]
+    )
+    s = 1 if rows[0][0] > 0 else -1
+    return s * rows[0][0], tuple(tuple(s * x for x in row[n:]) for row in rows)
+
+
+def _exchange(dual: DualBasis, r: int, a: Vector, pos: int) -> DualBasis:
+    """The dual basis after the point ``a`` replaces column ``r`` of ``B``
+    and the columns are put back in index order, ``a`` at ``pos``.
+
+    A simplex pivot in exact integers: with ``y = D.a``, the new matrix
+    has ``|det| = |y_r|``, row ``r`` of ``D`` carries over and row ``k``
+    becomes ``(y_r D_k - y_k D_r) / d``, an exact division by Sylvester's
+    identity; every row is negated when ``y_r < 0``, so that ``d`` stays
+    positive.  A row with ``y_k = 0`` and an unchanged ``d`` is shared,
+    not copied.  Costs O(n^2) where a fresh elimination costs O(n^3).
+    """
+    d, rows = dual
+    dr = rows[r]
+    y = [_dot(row, a) for row in rows]
+    s = 1 if y[r] > 0 else -1
+    e = s * y[r]
+    out = [
+        dk if not yk and e == d else tuple((e * x - s * yk * z) // d for x, z in zip(dk, dr))
+        for k, (dk, yk) in enumerate(zip(rows, y))
+        if k != r
+    ]
+    out.insert(pos, dr if s > 0 else tuple(-z for z in dr))
+    return e, tuple(out)
+
+
+def _pivot_walk(
+    verts: Sequence[Vector], n: int
+) -> tuple[list[Facet], dict[tuple[int, ...], DualBasis]]:
     """Every facet hyperplane of a full-dimensional hull, by crossing each ridge once.
 
     A facet is (all points on its hyperplane, primitive outward normal,
     offset), so a non-simplicial facet or a repeated point keeps all of
-    its points together.  From a facet of ``n`` points with outward
-    normal ``u`` and offset ``c != 0``, one fraction-free Gauss-Jordan
-    elimination of its vertex matrix gives the dual rows ``phi_i`` with
-    ``phi_i . p_j = 0`` for ``j != i`` and ``phi_i . p_i > 0``; ``phi_i``
-    vanishes on the ridge opposite vertex ``i``, so the neighbouring facet
-    across that ridge is the widest pivot of ``u`` towards
-    ``v = -phi_i``.  Any other facet takes its ridges from the same walk
-    one dimension down (``_lifted_ridges``).  In dimension 1 the facets
-    are the least and the largest point, each with its copies.  Returns
-    the facets in index order.
+    its points together.  A facet of ``n`` points with offset ``c != 0``
+    has a dual basis ``(d, D)`` (see ``DualBasis``): row ``D_i`` vanishes
+    on the ridge opposite its vertex ``i`` and is positive at ``i``, so
+    the neighbouring facet across that ridge is the widest pivot of the
+    normal towards ``v = -D_i``.  A neighbour of ``n`` points off the
+    origin gains a single point and gets its dual basis by an O(n^2)
+    exchange (``_exchange``); a fresh elimination (``_dual_basis``) is
+    needed only for the first facet and for a facet reached from a
+    non-simplicial or origin facet, so once per walk on a smooth input.
+    Any other facet takes its ridges from the same walk one dimension
+    down (``_lifted_ridges``).  In dimension 1 the facets are the least
+    and the largest point, each with its copies.  Returns the facets in
+    index order, and the dual basis of each facet that has one.
     """
     if n == 1:
         xs = [x for x, in verts]
         lo, hi = min(xs), max(xs)
         top = tuple(w for w, x in enumerate(xs) if x == hi)
         bottom = tuple(w for w, x in enumerate(xs) if x == lo)
-        return sorted([(top, (1,), hi), (bottom, (-1,), -lo)])
+        facets = sorted([(top, (1,), hi), (bottom, (-1,), -lo)])
+        return facets, {
+            idx: _dual_basis(verts, idx, 1) for idx, _, c in facets if len(idx) == 1 and c
+        }
     first = _first_facet(verts, n)
-    unit = [[int(j == k) for j in range(n)] for k in range(n)]
     first_mask = sum(1 << i for i in first[0])
     found = {first_mask: first}
+    duals: dict[tuple[int, ...], DualBasis] = {}
     crossed: set[int] = set()
     todo = [(first_mask, first)]
     while todo:
         mask, (idx, u, c) = todo.pop()
         heights = [c - _dot(u, vert) for vert in verts]
+        dual = None
         if len(idx) == n and c:
-            rows, _ = reduced_echelon(
-                [[verts[i][k] for i in idx] + unit[k] for k in range(n)]
-            )
-            sign = -1 if rows[0][0] > 0 else 1
+            dual = duals.get(idx)
+            if dual is None:
+                dual = duals[idx] = _dual_basis(verts, idx, n)
+            rows = dual[1]
             # v is built only for ridges not crossed yet
             ridges = (
-                (ridge, [sign * x for x in rows[r][n:]], 0)
+                (ridge, [-x for x in rows[r]], 0, r)
                 for r, i in enumerate(idx)
                 if (ridge := mask & ~(1 << i)) not in crossed
             )
         else:
-            ridges = _lifted_ridges(verts, n, idx, u)
-        for ridge, v, delta in ridges:
+            ridges = (
+                (ridge, v, delta, None) for ridge, v, delta in _lifted_ridges(verts, n, idx, u)
+            )
+        for ridge, v, delta, r in ridges:
             if ridge in crossed:
                 continue
             crossed.add(ridge)
@@ -193,8 +243,11 @@ def _pivot_walk(verts: Sequence[Vector], n: int) -> list[Facet]:
             if new_mask not in found:
                 new_idx = tuple(sorted([w for w in idx if ridge >> w & 1] + touching))
                 found[new_mask] = facet = (new_idx, normal, offset)
+                if dual is not None and len(touching) == 1 and offset:
+                    w = touching[0]
+                    duals[new_idx] = _exchange(dual, r, verts[w], new_idx.index(w))
                 todo.append((new_mask, facet))
-    return sorted(found.values())
+    return sorted(found.values()), duals
 
 
 def incidence_masks(cells: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
@@ -291,15 +344,17 @@ class FanoPolytope:
     # -- hull ------------------------------------------------------------
 
     @cached_property
-    def _hull_scan(self) -> list[Facet]:
-        """Every facet hyperplane of the full-dimensional hull, by exact ridge pivoting.
+    def _hull(self) -> tuple[list[Facet], dict[tuple[int, ...], DualBasis]]:
+        """Every facet hyperplane of the full-dimensional hull, by exact ridge pivoting,
+        with the dual basis of each facet of ``n`` points off the origin.
 
-        Each entry is (indices of all points on the hyperplane, primitive
-        outward normal, offset), in index order; the validation report and
-        ``face_lattice`` derive everything they read from this list.  A
-        facet of ``n`` points off the origin costs about n * m dot
-        products; any other facet is walked one dimension down
-        (``_pivot_walk``).
+        Each facet is (indices of all points on the hyperplane, primitive
+        outward normal, offset), in index order; the validation report,
+        ``face_lattice`` and the face fan's cone inverses derive
+        everything they read from this pair.  A facet of ``n`` points off
+        the origin costs about n * m dot products for its ridges and an
+        O(n^2) exchange for its dual basis; any other facet is walked one
+        dimension down (``_pivot_walk``).
         """
         return _pivot_walk(self.vertices, self.dim)
 
@@ -322,7 +377,7 @@ class FanoPolytope:
         """
         if self._affine_rank < self.dim:
             raise NotFanoShapeError("polytope is not full-dimensional")
-        hyperplanes = self._hull_scan
+        hyperplanes = self._hull[0]
         if any(c <= 0 for _, _, c in hyperplanes):
             raise NotFanoShapeError("origin is not an interior point")
         if any(len(pts) > self.dim for pts, _, _ in hyperplanes):
@@ -395,7 +450,10 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
     every input point a hull vertex, unimodular facets.  Unimodular
     facets sit on lattice-distance-1 hyperplanes, which already forces
     the origin to be the only interior lattice point, so that part of the
-    Fano definition needs no lattice-point enumeration.
+    Fano definition needs no lattice-point enumeration.  Every condition
+    reads the facet walk: a facet of ``n`` points is unimodular iff the
+    walk's dual basis has ``d = |det| = 1``, and one through the origin
+    (det 0) has none, so no determinant is computed here.
     """
     verts = p.vertices
     n = p.dim
@@ -435,7 +493,7 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
             conditions.append(ConditionResult(name, False, skipped))
         return ValidationReport(p.name, tuple(conditions))
 
-    hyperplanes = p._hull_scan
+    hyperplanes, duals = p._hull
     min_offset = min(c for _, _, c in hyperplanes)
     conditions.append(
         ConditionResult(
@@ -468,10 +526,11 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
         )
     )
 
+    # d = |det|; a facet of n points through the origin has det 0 and no dual basis
     bad_facets = [
         pts
         for pts, _, _ in hyperplanes
-        if len(pts) == n and abs(determinant([verts[i] for i in pts])) != 1
+        if len(pts) == n and (pts not in duals or duals[pts][0] != 1)
     ]
     conditions.append(
         ConditionResult(

@@ -190,8 +190,8 @@ def test_criterion_11_hexagon_power_four():
     elapsed = time.perf_counter() - start
     assert (p.dim, len(p.vertices), len(facets)) == (8, 24, 1296)
     assert validate_smooth_fano(p).passed
-    assert elapsed < 5.0, f"face lattice took {elapsed:.2f}s"
-    _report("11 hexagon^4 validates with 1296 facets, face lattice in under 5 s")
+    assert elapsed < 2.0, f"face lattice took {elapsed:.2f}s"
+    _report("11 hexagon^4 validates with 1296 facets, face lattice in under 2 s")
 
 
 def test_criterion_12_non_simplicial_rejection_budget():
@@ -206,3 +206,17 @@ def test_criterion_12_non_simplicial_rejection_budget():
     )
     assert elapsed < 10.0, f"validation took {elapsed:.2f}s"
     _report("12 simplex:2 x hexagon^3 plus (1,...,1) rejected as non-simplicial in under 10 s")
+
+
+def test_criterion_13_hexagon_power_five():
+    p = construct("product(hexagon,hexagon,hexagon,hexagon,hexagon)")
+    start = time.perf_counter()
+    report = analyze(p)
+    elapsed = time.perf_counter() - start
+    assert report.valid
+    assert (report.dim, report.picard_rank, len(p.face_lattice.facets)) == (10, 20, 7776)
+    degrees = sorted(r.degree for r in report.relations)
+    assert degrees == [1] * 30 + [2] * 15
+    assert [(c.degree, c.codegree) for c in report.components] == [(2, 9)] * 15
+    assert elapsed < 30.0, f"analyze took {elapsed:.2f}s"
+    _report("13 hexagon^5 analyzed: 7776 facets, rho 20, 45 relations, in under 30 s")

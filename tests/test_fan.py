@@ -3,8 +3,10 @@ import random
 import pytest
 
 from fanorank.fan import Fan, FanNotCompleteError, NotAConeError
-from fanorank.lattice import determinant, mat_vec
+from fanorank.lattice import determinant, mat_vec, unimodular_inverse
 from fanorank.polytope import BadIndexError, FanoPolytope, free_sum, hexagon, simplex
+
+from helpers import NON_PRODUCTS
 
 
 def fan_of(p):
@@ -77,6 +79,37 @@ class TestPointLocation:
                 assert tuple(rebuilt) == pt, name
                 assert all(a > 0 for a in loc.coefficients)
                 assert fan.is_cone(loc.support)
+
+    def test_face_fan_inverses_come_from_the_walk(self, corpus):
+        """Every cone's pre-filled inverse is the cone's own integer inverse."""
+        members = [p for _, p in corpus]
+        members += [FanoPolytope(dim, verts, name) for name, (dim, verts) in NON_PRODUCTS.items()]
+        for p in members:
+            fan = Fan.from_polytope(p)
+            cache = fan._inverse_cache
+            assert sorted(cache) == list(range(len(fan.max_cones))), p.name
+            for ci, cone in enumerate(fan.max_cones):
+                cols = tuple(zip(*(fan.generators[i] for i in cone)))
+                assert cache[ci] == unimodular_inverse(cols), (p.name, cone)
+
+    def test_non_unimodular_cones_stay_lazy(self):
+        p = FanoPolytope(2, ((1, 0), (0, 1), (-1, -2)))
+        fan = Fan.from_polytope(p)
+        unimodular = [
+            ci
+            for ci, cone in enumerate(fan.max_cones)
+            if abs(determinant([fan.generators[i] for i in cone])) == 1
+        ]
+        assert sorted(fan._inverse_cache) == unimodular == [0, 2]
+        with pytest.raises(ValueError, match="not unimodular"):
+            fan.minimal_cone_containing((-1, -1))
+
+    def test_hand_built_fan_inverts_lazily(self):
+        h = fan_of(hexagon())
+        fan = Fan(h.dim, h.generators, h.max_cones)
+        assert fan._inverse_cache == {}
+        assert fan.minimal_cone_containing((2, 1)) == h.minimal_cone_containing((2, 1))
+        assert fan._inverse_cache == {ci: h._inverse_cache[ci] for ci in fan._inverse_cache}
 
     def test_incomplete_fan_detected(self):
         # drop one maximal cone from the hexagon fan

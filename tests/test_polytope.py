@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanorank import construct
+from fanorank import construct, polytope
 from fanorank.bounds import analyze
 from fanorank.lattice import ShapeMismatchError, determinant
 from fanorank.polytope import (
@@ -18,6 +18,7 @@ from fanorank.polytope import (
 from helpers import (
     NON_PRODUCTS,
     brute_force_hull,
+    det_over_q,
     hull_edges_by_angle,
     random_unimodular,
     rank_over_q,
@@ -202,15 +203,29 @@ BAD_INPUTS = {
 
 
 def assert_walk_matches_oracle(p):
-    """Same facet hyperplanes as the subset scan, and its first witness quoted."""
+    """Same facet hyperplanes as the subset scan, its first witness quoted, exact dual bases."""
     hyperplanes, evidence = brute_force_hull(p.vertices, p.dim)
-    assert p._hull_scan == hyperplanes, p.name
+    assert p._hull[0] == hyperplanes, p.name
+    assert_dual_bases_exact(p)
     details = {c.name: c.detail for c in validate_smooth_fano(p).conditions}
     witness = ""
     if evidence:
         subset, extra, _ = evidence[0]
         witness = f"facet hyperplane with extra vertices, e.g. {subset} + {extra}"
     assert details["simplicial"] == witness, p.name
+
+
+def assert_dual_bases_exact(p):
+    """Every facet of n points off the origin, and no other, carries (d, D) with
+    d = |det B| by rational elimination and D.B = d I, B its points as columns."""
+    hyperplanes, duals = p._hull
+    n = p.dim
+    assert set(duals) == {pts for pts, _, c in hyperplanes if len(pts) == n and c}, p.name
+    for pts, (d, rows) in duals.items():
+        points = [p.vertices[i] for i in pts]
+        assert d == abs(det_over_q(points)), (p.name, pts)
+        product = [[sum(x * y for x, y in zip(row, v)) for v in points] for row in rows]
+        assert product == [[d * (i == j) for j in range(n)] for i in range(n)], (p.name, pts)
 
 
 def random_point_set(rng):
@@ -250,7 +265,15 @@ class TestPivotAgainstScan:
         assert not analyze(p).valid
         assert_walk_matches_oracle(p)
 
-    def test_random_point_sets(self):
+    def test_random_point_sets(self, monkeypatch):
+        exchange = polytope._exchange
+        divided = []
+
+        def counted(dual, *args):
+            divided.append(dual[0] > 1)
+            return exchange(dual, *args)
+
+        monkeypatch.setattr(polytope, "_exchange", counted)
         rng = random.Random(6)
         checked = non_simplicial = repeated = 0
         while checked < 300:
@@ -260,7 +283,9 @@ class TestPivotAgainstScan:
             p = FanoPolytope(n, verts)
             assert_walk_matches_oracle(p)
             checked += 1
-            non_simplicial += any(len(pts) > n for pts, _, _ in p._hull_scan)
+            non_simplicial += any(len(pts) > n for pts, _, _ in p._hull[0])
             repeated += len(set(verts)) < len(verts)
-        # the sample must reach the walk one dimension down and repeated points
+        # the sample must reach the walk one dimension down, repeated points
+        # and dual-basis exchanges that divide by d > 1
         assert non_simplicial > 150 and repeated > 30, (non_simplicial, repeated)
+        assert sum(divided) > 1000, sum(divided)
