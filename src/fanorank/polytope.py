@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from operator import mul
-from typing import Container, Iterable, Iterator, Sequence
+from operator import itemgetter, mul
+from typing import Iterable, Iterator, Sequence
 
 from .lattice import (
     InternalInconsistencyError,
@@ -34,7 +34,7 @@ from .lattice import (
     mat_vec,
     matrix_rank,
     reduced_echelon,
-    unimodular_inverse,
+    unimodular_inverse,  # noqa: F401  (likewise wrapped by the benchmark's traced run)
 )
 
 
@@ -59,31 +59,27 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 def _widest_pivot(
     u: Sequence[int],
     c: int,
-    heights: Sequence[int],
     v: Sequence[int],
     delta: int,
-    verts: Sequence[Vector],
-    skip: Container[int],
+    below: Sequence[tuple[int, int]],
+    tilts: Sequence[int],
 ) -> tuple[Vector, int, list[int]]:
     """Rotate the hyperplane ``u.x = c`` about its meet with ``v.x = delta``.
 
-    ``heights[w]`` is ``c - u.w``, which must be positive for every point
-    outside ``skip``, and at least one point must lie outside ``skip``.
-    The rotated hyperplane ``b u + a v`` (offset ``b c + a delta``) is the
-    first of the pencil to touch another point: for a point ``w``,
-    ``a = c - u.w`` and ``b = v.w - delta``, and the touching points are
-    those of largest ``b / a``, compared by cross-multiplication.
+    ``below`` lists, in index order, each point ``w`` off the hyperplane
+    with its height ``a = c - u.w``, which must be positive; it must not
+    be empty.  ``tilts[w]`` is ``b = v.w - delta``.  The rotated
+    hyperplane ``b u + a v`` (offset ``b c + a delta``) is the first of
+    the pencil to touch another point: the touching points are those of
+    largest ``b / a``, compared by cross-multiplication.
     Returns (primitive normal, offset, touching points).
     """
     best_a, best_b = 1, None
     touching: list[int] = []
-    for w, vert in enumerate(verts):
-        if w in skip:
-            continue
-        a = heights[w]
+    for w, a in below:
         if a <= 0:
             raise InternalInconsistencyError(f"point {w} is not below the hyperplane {u}")
-        b = _dot(v, vert) - delta
+        b = tilts[w]
         if best_b is None or b * best_a > best_b * a:
             best_a, best_b, touching = a, b, [w]
         elif b * best_a == best_b * a:
@@ -115,8 +111,10 @@ def _first_facet(verts: Sequence[Vector], n: int) -> Facet:
         if len(kernel) == 1:
             return tuple(sorted(face)), u, c
         v = next(x for x in kernel if matrix_rank((u, x)) == 2)
-        heights = [c - _dot(u, vert) for vert in verts]
-        u, c, touching = _widest_pivot(u, c, heights, v, _dot(v, base), verts, set(face))
+        below = [(w, c - _dot(u, vert)) for w, vert in enumerate(verts) if w not in face]
+        delta = _dot(v, base)
+        tilts = [_dot(v, vert) - delta for vert in verts]
+        u, c, touching = _widest_pivot(u, c, v, delta, below, tilts)
         face += touching
 
 
@@ -152,29 +150,39 @@ def _dual_basis(verts: Sequence[Vector], idx: tuple[int, ...], n: int) -> DualBa
     return s * rows[0][0], tuple(tuple(s * x for x in row[n:]) for row in rows)
 
 
-def _exchange(dual: DualBasis, r: int, a: Vector, pos: int) -> DualBasis:
-    """The dual basis after the point ``a`` replaces column ``r`` of ``B``
-    and the columns are put back in index order, ``a`` at ``pos``.
+def _exchange(
+    dual: DualBasis, products: Matrix, r: int, w: int, pos: int
+) -> tuple[DualBasis, Matrix]:
+    """The dual basis ``(d, D)`` and the products ``P = D.W`` with every
+    point after the point ``w`` replaces column ``r`` of ``B`` and the
+    columns are put back in index order, ``w`` at ``pos``.
 
-    A simplex pivot in exact integers: with ``y = D.a``, the new matrix
-    has ``|det| = |y_r|``, row ``r`` of ``D`` carries over and row ``k``
-    becomes ``(y_r D_k - y_k D_r) / d``, an exact division by Sylvester's
+    A simplex pivot in exact integers: with ``y`` the column ``w`` of
+    ``P`` (``D`` times the point), the new matrix has ``|det| = |y_r|``,
+    row ``r`` of ``D`` carries over and row ``k`` becomes
+    ``(y_r D_k - y_k D_r) / d``, an exact division by Sylvester's
     identity; every row is negated when ``y_r < 0``, so that ``d`` stays
-    positive.  A row with ``y_k = 0`` and an unchanged ``d`` is shared,
-    not copied.  Costs O(n^2) where a fresh elimination costs O(n^3).
+    positive.  The rows of ``P`` take the same steps.  A row with
+    ``y_k = 0`` and an unchanged ``d`` is shared, not copied.  Costs
+    O(n (n + m)) for ``m`` points, where a fresh elimination and its
+    products cost O(n^2 (n + m)).
     """
-    d, rows = dual
-    dr = rows[r]
-    y = [_dot(row, a) for row in rows]
+    d = dual[0]
+    y = [row[w] for row in products]
     s = 1 if y[r] > 0 else -1
     e = s * y[r]
-    out = [
-        dk if not yk and e == d else tuple((e * x - s * yk * z) // d for x, z in zip(dk, dr))
-        for k, (dk, yk) in enumerate(zip(rows, y))
-        if k != r
-    ]
-    out.insert(pos, dr if s > 0 else tuple(-z for z in dr))
-    return e, tuple(out)
+
+    def pivot(rows: Matrix) -> Matrix:
+        dr = rows[r]
+        out = [
+            dk if not yk and e == d else tuple((e * x - s * yk * z) // d for x, z in zip(dk, dr))
+            for k, (dk, yk) in enumerate(zip(rows, y))
+            if k != r
+        ]
+        out.insert(pos, dr if s > 0 else tuple(-z for z in dr))
+        return tuple(out)
+
+    return (e, pivot(dual[1])), pivot(products)
 
 
 def _pivot_walk(
@@ -185,18 +193,24 @@ def _pivot_walk(
     A facet is (all points on its hyperplane, primitive outward normal,
     offset), so a non-simplicial facet or a repeated point keeps all of
     its points together.  A facet of ``n`` points with offset ``c != 0``
-    has a dual basis ``(d, D)`` (see ``DualBasis``): row ``D_i`` vanishes
-    on the ridge opposite its vertex ``i`` and is positive at ``i``, so
-    the neighbouring facet across that ridge is the widest pivot of the
-    normal towards ``v = -D_i``.  A neighbour of ``n`` points off the
-    origin gains a single point and gets its dual basis by an O(n^2)
-    exchange (``_exchange``); a fresh elimination (``_dual_basis``) is
-    needed only for the first facet and for a facet reached from a
-    non-simplicial or origin facet, so once per walk on a smooth input.
-    Any other facet takes its ridges from the same walk one dimension
-    down (``_lifted_ridges``).  In dimension 1 the facets are the least
-    and the largest point, each with its copies.  Returns the facets in
-    index order, and the dual basis of each facet that has one.
+    has a dual basis ``(d, D)`` (see ``DualBasis``), and the walk holds
+    its products ``P = D.W`` with every point.  Row ``D_i`` vanishes on
+    the ridge opposite its vertex ``i`` and is positive at ``i``, so the
+    neighbouring facet across that ridge is the widest pivot of the
+    normal towards ``v = -D_i``, whose tilts ``v.w = -P_iw`` are read off
+    ``P``; the heights are ``c - u.w = c - c (sum_i P_iw) / d``, as
+    ``u = (c / d) (D_1 + ... + D_n)``.  So a facet costs O(n m) for ``m``
+    points.  A neighbour of ``n`` points off the origin gains a single
+    point, and gets ``D`` and ``P`` by an O(n (n + m)) exchange
+    (``_exchange``), run when it is popped, so that a pending facet
+    shares its parent's products instead of holding its own.  A fresh
+    elimination (``_dual_basis``) is needed only for the first facet and
+    for a facet reached from a non-simplicial or origin facet, so once
+    per walk on a smooth input.  Any other facet takes its ridges from
+    the same walk one dimension down (``_lifted_ridges``) and its tilts
+    from ``v.w`` directly.  In dimension 1 the facets are the least and
+    the largest point, each with its copies.  Returns the facets in index
+    order, and the dual basis of each facet that has one.
     """
     if n == 1:
         xs = [x for x, in verts]
@@ -212,41 +226,49 @@ def _pivot_walk(
     found = {first_mask: first}
     duals: dict[tuple[int, ...], DualBasis] = {}
     crossed: set[int] = set()
-    todo = [(first_mask, first)]
+    # each pending facet holds the arguments of its exchange, or None
+    todo = [(first_mask, first, None)]
     while todo:
-        mask, (idx, u, c) = todo.pop()
-        heights = [c - _dot(u, vert) for vert in verts]
-        dual = None
-        if len(idx) == n and c:
-            dual = duals.get(idx)
-            if dual is None:
-                dual = duals[idx] = _dual_basis(verts, idx, n)
-            rows = dual[1]
-            # v is built only for ridges not crossed yet
+        mask, (idx, u, c), step = todo.pop()
+        if step is not None:
+            dual, products = _exchange(*step)
+        elif len(idx) == n and c:
+            dual = _dual_basis(verts, idx, n)
+            products = tuple(tuple(_dot(row, vert) for vert in verts) for row in dual[1])
+        else:
+            dual = None
+        if dual is not None:
+            duals[idx] = dual
+            d, rows = dual
+            heights = [c - c * t // d for t in map(sum, zip(*products))]
+            # v and the tilts are built only for ridges not crossed yet
             ridges = (
-                (ridge, [-x for x in rows[r]], 0, r)
+                (ridge, [-x for x in rows[r]], 0, [-x for x in products[r]], r)
                 for r, i in enumerate(idx)
                 if (ridge := mask & ~(1 << i)) not in crossed
             )
         else:
+            heights = [c - _dot(u, vert) for vert in verts]
             ridges = (
-                (ridge, v, delta, None) for ridge, v, delta in _lifted_ridges(verts, n, idx, u)
+                (ridge, v, delta, [_dot(v, vert) - delta for vert in verts], None)
+                for ridge, v, delta in _lifted_ridges(verts, n, idx, u)
+                if ridge not in crossed
             )
-        for ridge, v, delta, r in ridges:
-            if ridge in crossed:
-                continue
+        below = [(w, a) for w, a in enumerate(heights) if not mask >> w & 1]
+        for ridge, v, delta, tilts, r in ridges:
             crossed.add(ridge)
-            normal, offset, touching = _widest_pivot(u, c, heights, v, delta, verts, idx)
+            normal, offset, touching = _widest_pivot(u, c, v, delta, below, tilts)
             new_mask = ridge
             for w in touching:
                 new_mask |= 1 << w
             if new_mask not in found:
                 new_idx = tuple(sorted([w for w in idx if ridge >> w & 1] + touching))
                 found[new_mask] = facet = (new_idx, normal, offset)
+                step = None
                 if dual is not None and len(touching) == 1 and offset:
                     w = touching[0]
-                    duals[new_idx] = _exchange(dual, r, verts[w], new_idx.index(w))
-                todo.append((new_mask, facet))
+                    step = (dual, products, r, w, new_idx.index(w))
+                todo.append((new_mask, facet, step))
     return sorted(found.values()), duals
 
 
@@ -352,9 +374,9 @@ class FanoPolytope:
         outward normal, offset), in index order; the validation report,
         ``face_lattice`` and the face fan's cone inverses derive
         everything they read from this pair.  A facet of ``n`` points off
-        the origin costs about n * m dot products for its ridges and an
-        O(n^2) exchange for its dual basis; any other facet is walked one
-        dimension down (``_pivot_walk``).
+        the origin costs O(n m) for its ridges, read off its dual basis's
+        products with the ``m`` points, and an O(n (n + m)) exchange for
+        both; any other facet is walked one dimension down (``_pivot_walk``).
         """
         return _pivot_walk(self.vertices, self.dim)
 
@@ -400,23 +422,34 @@ class FanoPolytope:
         is the image of the other under a unimodular map composed with a
         permutation of the vertices.  Every facet basis is mapped to the
         standard basis (in every ordering) and the lexicographically
-        least sorted vertex matrix over all those coordinates wins; the
-        cost is (number of facets) * dim! * vertices, fine at desk scale.
+        least sorted vertex matrix over all those coordinates wins.  Each
+        facet's inverse is the dual basis the facet walk carried, so the
+        cost is (number of facets) * dim! sorts of the vertex images, fine
+        at desk scale.  Raises NotFanoShapeError unless the hull is
+        simplicial with the origin inside, and ValueError if a facet is
+        not unimodular.
         """
-        verts = self.vertices
-        n = self.dim
+        facets = self.face_lattice.facets
+        duals = self._hull[1]
+        # itemgetter of one index returns a scalar, so dimension 1 keeps whole rows
+        orders = (
+            [itemgetter(*perm) for perm in permutations(range(self.dim))]
+            if self.dim > 1
+            else [tuple]
+        )
         best = None
-        for facet in self.face_lattice.facets:
-            cols = tuple(zip(*(verts[i] for i in facet)))
-            binv = unimodular_inverse(cols)
-            images = [mat_vec(binv, v) for v in verts]
-            for perm in permutations(range(n)):
-                key = tuple(sorted(tuple(w[p] for p in perm) for w in images))
+        for facet in facets:
+            d, binv = duals[facet]
+            if d != 1:
+                raise ValueError("matrix is not unimodular")
+            images = [mat_vec(binv, v) for v in self.vertices]
+            for order in orders:
+                key = sorted(map(order, images))
                 if best is None or key < best:
                     best = key
         if best is None:
             raise InternalInconsistencyError("a validated polytope has no facets")
-        return best
+        return tuple(best)
 
 
 def _least_basis(

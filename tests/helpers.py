@@ -6,15 +6,17 @@ by a second route: a face set built as frozensets from the maximal cones,
 brute-force subset scans over it for primitive collections, extension
 counts and Reid cone checks, an angular-sort hull for 2D facets, a
 scan of every ``n``-subset's hyperplane for the facets of any hull,
-Gaussian elimination over ``Fraction`` for ranks and determinants, and
-elementary-matrix products for random unimodular maps.  Nothing here
-reads the library's face data (its incidence masks, ``face_set`` or
-``all_faces``); only ``fan.max_cones`` and ``fan.generators``.
+a scan of every facet basis in every order for the normal form,
+Gaussian elimination over ``Fraction`` for ranks, determinants and
+inverses, and elementary-matrix products for random unimodular maps.
+Nothing here reads the library's face data (its incidence masks,
+``face_set`` or ``all_faces``); only ``fan.max_cones`` and
+``fan.generators``.
 """
 
 from fractions import Fraction
 from functools import cache, cmp_to_key
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 from fanorank import FanoPolytope
@@ -143,6 +145,49 @@ def rank_over_q(m):
 def det_over_q(m):
     """Determinant of a square integer matrix by Gaussian elimination over ``Fraction``."""
     return int(_eliminate_over_q(m)[1])
+
+
+def inverse_over_q(m):
+    """Inverse of a square integer matrix by Gauss-Jordan elimination over ``Fraction``."""
+    n = len(m)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for c in range(n):
+        sel = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[sel] = rows[sel], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def brute_force_normal_form(p):
+    """The normal form of a smooth Fano polytope by its definition: the
+    least sorted vertex matrix over every facet basis mapped to the
+    standard basis in every order.
+
+    Takes the facets from ``brute_force_hull``, inverts each facet's
+    matrix over ``Fraction`` and raises ValueError unless the inverse is
+    integral; then tries all ``n!`` coordinate orders of the vertex
+    images, ``facets * n!`` keys in all, each a tuple of row tuples.
+    """
+    n = p.dim
+    best = None
+    for on, _, _ in brute_force_hull(p.vertices, n)[0]:
+        inv = inverse_over_q(list(zip(*(p.vertices[i] for i in on))))
+        images = [[sum(x * y for x, y in zip(row, v)) for row in inv] for v in p.vertices]
+        if any(x.denominator != 1 for w in images for x in w):
+            raise ValueError(f"facet {on} is not unimodular")
+        images = [tuple(int(x) for x in w) for w in images]
+        for perm in permutations(range(n)):
+            key = tuple(sorted(tuple(w[k] for k in perm) for w in images))
+            if best is None or key < best:
+                best = key
+    return best
 
 
 def brute_force_hull(verts, n):

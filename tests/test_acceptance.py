@@ -6,6 +6,7 @@ equality) except where a wall-clock budget is part of the criterion.
 """
 
 import json
+import random
 import time
 
 import pytest
@@ -33,7 +34,7 @@ from fanorank.polytope import (
     validate_smooth_fano,
 )
 
-from helpers import brute_force_primitive_collections
+from helpers import brute_force_primitive_collections, random_unimodular, transformed_copy
 
 
 def _report(label):
@@ -218,5 +219,17 @@ def test_criterion_13_hexagon_power_five():
     degrees = sorted(r.degree for r in report.relations)
     assert degrees == [1] * 30 + [2] * 15
     assert [(c.degree, c.codegree) for c in report.components] == [(2, 9)] * 15
-    assert elapsed < 30.0, f"analyze took {elapsed:.2f}s"
-    _report("13 hexagon^5 analyzed: 7776 facets, rho 20, 45 relations, in under 30 s")
+    assert elapsed < 15.0, f"analyze took {elapsed:.2f}s"
+    _report("13 hexagon^5 analyzed: 7776 facets, rho 20, 45 relations, in under 15 s")
+
+
+def test_criterion_14_normal_form_budget():
+    p = construct("product(hexagon,hexagon,hexagon)")
+    rng = random.Random(14)
+    q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
+    start = time.perf_counter()
+    form = q.normal_form()
+    elapsed = time.perf_counter() - start
+    assert form == p.normal_form()
+    assert elapsed < 5.0, f"normal form took {elapsed:.2f}s"
+    _report("14 normal form of a hexagon^3 image equals the hexagon^3 form, in under 5 s")

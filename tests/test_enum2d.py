@@ -7,6 +7,8 @@ import pytest
 from fanorank.enum2d import _rings, enumerate_2d, primitive_vectors_in_box
 from fanorank.polytope import FanoPolytope, hexagon, validate_smooth_fano
 
+from helpers import brute_force_normal_form
+
 
 class TestPrimitiveVectors:
     def test_box_one(self):
@@ -70,6 +72,11 @@ class TestEnumeration:
         assert [p.normal_form() for p in bigger] == [
             p.normal_form() for p in two_d_classes
         ]
+
+    @pytest.mark.parametrize("box_radius", [1, 2])
+    def test_representatives_are_oracle_forms(self, box_radius):
+        classes = enumerate_2d(box_radius)
+        assert [p.vertices for p in classes] == [brute_force_normal_form(p) for p in classes]
 
     def test_six_vertex_class_is_the_hexagon(self, two_d_classes):
         assert two_d_classes[-1].normal_form() == hexagon().normal_form()

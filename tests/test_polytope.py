@@ -18,6 +18,7 @@ from fanorank.polytope import (
 from helpers import (
     NON_PRODUCTS,
     brute_force_hull,
+    brute_force_normal_form,
     det_over_q,
     hull_edges_by_angle,
     random_unimodular,
@@ -186,6 +187,20 @@ class TestNormalForm:
                 q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
                 assert q.normal_form() == nf
 
+    def test_equals_oracle(self, corpus):
+        """Each member's form is the oracle's, and so is that of each of its seeded images."""
+        rng = random.Random(8)
+        members = [p for _, p in corpus if p.dim <= 5]
+        members += [FanoPolytope(dim, verts, name) for name, (dim, verts) in NON_PRODUCTS.items()]
+        # simplex:1: itemgetter of one index returns a scalar, not a row
+        assert min(p.dim for p in members) == 1
+        for p in members:
+            form = brute_force_normal_form(p)
+            assert p.normal_form() == form, p.name
+            for _ in range(10):
+                q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
+                assert q.normal_form() == form, p.name
+
 
 BAD_INPUTS = {
     "point on an edge": (2, ((1, -1), (1, 0), (1, 1), (-1, 0))),
@@ -200,6 +215,20 @@ BAD_INPUTS = {
     "origin outside": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
     "non-unimodular facet": (2, ((1, 0), (0, 1), (-1, -2))),
 }
+
+
+@pytest.mark.parametrize(
+    "name, dim, verts",
+    [(name, *BAD_INPUTS[name]) for name in sorted(BAD_INPUTS)] + [("flat", 2, ((1, 0), (-1, 0)))],
+    ids=[*sorted(BAD_INPUTS), "flat"],
+)
+def test_normal_form_errors(name, dim, verts):
+    # only a full-dimensional simplicial hull around the origin gets as far
+    # as the facet inverses
+    error = ValueError if name == "non-unimodular facet" else NotFanoShapeError
+    with pytest.raises(ValueError) as info:
+        FanoPolytope(dim, verts, name).normal_form()
+    assert type(info.value) is error, name
 
 
 def assert_walk_matches_oracle(p):
@@ -228,6 +257,35 @@ def assert_dual_bases_exact(p):
         assert product == [[d * (i == j) for j in range(n)] for i in range(n)], (p.name, pts)
 
 
+@pytest.fixture
+def carried_products(monkeypatch):
+    """Require every exchange to take and give products ``P`` with ``P_iw = D_i.w``
+    over the points of the walk it runs in, nested walks included; lists the
+    ``d`` each exchange divides by."""
+    walk, exchange = polytope._pivot_walk, polytope._exchange
+    points, divisors = [], []
+
+    def recorded_walk(verts, n):
+        points.append(verts)
+        try:
+            return walk(verts, n)
+        finally:
+            points.pop()
+
+    def checked_exchange(dual, products, *args):
+        out = exchange(dual, products, *args)
+        for (_, rows), prods in ((dual, products), out):
+            assert prods == tuple(
+                tuple(sum(x * y for x, y in zip(row, w)) for w in points[-1]) for row in rows
+            ), (points[-1], rows)
+        divisors.append(dual[0])
+        return out
+
+    monkeypatch.setattr(polytope, "_pivot_walk", recorded_walk)
+    monkeypatch.setattr(polytope, "_exchange", checked_exchange)
+    return divisors
+
+
 def random_point_set(rng):
     """n + 1 to n + 5 points of [-2, 2]^n, n in 2..4; in one set of five, one point twice."""
     n = rng.randint(2, 4)
@@ -238,9 +296,14 @@ def random_point_set(rng):
 
 
 class TestPivotAgainstScan:
-    def test_corpus(self, corpus):
-        for _, p in corpus:
+    def test_corpus(self, corpus, carried_products):
+        # fresh copies, so that the walk runs under the fixture
+        copies = [FanoPolytope(p.dim, p.vertices, p.name) for _, p in corpus]
+        for p in copies:
             assert_walk_matches_oracle(p)
+        # one fresh elimination per walk; dimension 1 has no walk
+        walked = sum(len(p._hull[0]) - 1 for p in copies if p.dim > 1)
+        assert len(carried_products) == walked, (len(carried_products), walked)
 
     @pytest.mark.parametrize(
         "spec", ["product(hexagon,hexagon,hexagon)", "product(simplex:2,hexagon,hexagon)"]
@@ -252,11 +315,12 @@ class TestPivotAgainstScan:
             assert_walk_matches_oracle(transformed_copy(p, random_unimodular(p.dim, rng), rng))
 
     @pytest.mark.parametrize("name", sorted(NON_PRODUCTS))
-    def test_non_products(self, name):
+    def test_non_products(self, name, carried_products):
         dim, verts = NON_PRODUCTS[name]
         p = FanoPolytope(dim, verts, name)
         assert validate_smooth_fano(p).passed
         assert_walk_matches_oracle(p)
+        assert carried_products
 
     @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
     def test_bad_input_reports_unchanged(self, name):
@@ -265,15 +329,7 @@ class TestPivotAgainstScan:
         assert not analyze(p).valid
         assert_walk_matches_oracle(p)
 
-    def test_random_point_sets(self, monkeypatch):
-        exchange = polytope._exchange
-        divided = []
-
-        def counted(dual, *args):
-            divided.append(dual[0] > 1)
-            return exchange(dual, *args)
-
-        monkeypatch.setattr(polytope, "_exchange", counted)
+    def test_random_point_sets(self, carried_products):
         rng = random.Random(6)
         checked = non_simplicial = repeated = 0
         while checked < 300:
@@ -288,4 +344,5 @@ class TestPivotAgainstScan:
         # the sample must reach the walk one dimension down, repeated points
         # and dual-basis exchanges that divide by d > 1
         assert non_simplicial > 150 and repeated > 30, (non_simplicial, repeated)
-        assert sum(divided) > 1000, sum(divided)
+        divided = sum(d > 1 for d in carried_products)
+        assert divided > 1000, divided
