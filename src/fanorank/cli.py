@@ -4,8 +4,8 @@ Subcommands mirror the library surface: ``validate``, ``analyze``,
 ``check``, ``construct``, ``enumerate2d`` and ``batch``.  All output is
 JSON (or the polytope text format for the constructors) with stable key
 and array order, so runs over the same input are byte-identical.
-``analyze`` and ``batch`` still accept ``--jobs K`` but ignore it: they
-run the polytopes one after another in input order.
+``batch`` still accepts ``--jobs K`` but ignores it: every command runs
+the polytopes one after another in input order.
 
 Exit codes: 0 clean; 1 a polytope failed validation; 2 a theorem-level
 check failed, which indicates a bug rather than mathematics; 3 the input
@@ -35,7 +35,7 @@ from .formats import (
     report_to_dict,
     validation_to_dict,
 )
-from .polytope import FanoPolytope
+from .polytope import FanoPolytope, validate_smooth_fano
 
 PARSE_EXIT = 3
 THEOREM_EXIT = 2
@@ -80,7 +80,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     records = []
     failed = False
     for p in polytopes:
-        report = p.validate()
+        report = validate_smooth_fano(p)
         failed = failed or not report.passed
         record = {"name": p.name}
         record.update(validation_to_dict(report))
@@ -116,7 +116,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     records = []
     code = 0
     for p in polytopes:
-        report = p.validate()
+        report = validate_smooth_fano(p)
         if not report.passed:
             records.append({"name": p.name, "valid": False, "checks": []})
             code = max(code, VALIDATION_EXIT)
@@ -176,7 +176,6 @@ def main(argv: list[str] | None = None) -> int:
     p_analyze = sub.add_parser("analyze", help="full per-polytope reports")
     p_analyze.add_argument("files", nargs="+")
     p_analyze.add_argument("--out")
-    p_analyze.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_check = sub.add_parser("check", help="evaluate one family of bounds")

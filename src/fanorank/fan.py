@@ -6,9 +6,8 @@ rays spans a cone iff the AND of their facet-incidence bitmasks is
 nonzero, so no face is ever built as a set.  Because every maximal cone
 is unimodular, locating a lattice point means multiplying it by the
 cone's integer inverse, with no rounding anywhere.  A face fan takes
-those inverses from the polytope's facet walk, which carries each
-facet's dual basis; a fan built by hand inverts a cone the first time
-a query reaches it.  The star quotient
+those inverses from the polytope's ``face_lattice``; a fan built by hand
+inverts a cone the first time a query reaches it.  The star quotient
 construction collapses a cone to produce the fan of the corresponding
 intersection of toric divisors, keeping enough lifting data to pull
 quotient rays back to original generators.
@@ -31,7 +30,7 @@ from .lattice import (
     quotient_projection,
     unimodular_inverse,
 )
-from .polytope import FanoPolytope, common_cells, incidence_masks
+from .polytope import FanoPolytope
 
 
 class FanNotCompleteError(RuntimeError):
@@ -40,6 +39,10 @@ class FanNotCompleteError(RuntimeError):
 
 class NotAConeError(ValueError):
     """The given index set does not span a cone of the fan."""
+
+
+class BadIndexError(IndexError):
+    """A ray index is out of range."""
 
 
 @dataclass(frozen=True)
@@ -79,22 +82,33 @@ class Fan:
 
     @classmethod
     def from_polytope(cls, p: FanoPolytope) -> "Fan":
-        """Face fan of a validated polytope: rays are vertices, cones are facets.
+        """Face fan of a polytope of smooth Fano shape: rays are vertices,
+        cones are facets.
 
-        The inverse of each unimodular cone is the dual basis ``(1, B^-1)``
-        that the facet walk carried, so point location inverts nothing.
+        Both come from ``p.face_lattice``, whose inverses pre-fill the
+        cone inverses, so point location inverts no unimodular cone.  A
+        cone whose inverse is None (not unimodular) is left to the lazy
+        path, which raises when a query reaches it.
         """
-        fan = cls(p.dim, p.vertices, p.face_lattice.facets)
-        duals = p._hull[1]
+        lattice = p.face_lattice
+        fan = cls(p.dim, p.vertices, lattice.facets)
         fan.__dict__["_inverse_cache"] = {
-            ci: duals[cone][1] for ci, cone in enumerate(fan.max_cones) if duals[cone][0] == 1
+            ci: inv for ci, inv in enumerate(lattice.inverses) if inv is not None
         }
         return fan
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Bit ``c`` of entry ``v`` is set iff ``max_cones[c]`` contains ray ``v``."""
-        return incidence_masks(self.max_cones, len(self.generators))
+        """Bit ``c`` of entry ``v`` is set iff ``max_cones[c]`` contains ray ``v``.
+
+        The library's one face representation: a ray set spans a cone iff
+        the AND of its masks (every cone, for the empty set) is nonzero.
+        """
+        masks = [0] * len(self.generators)
+        for c, cone in enumerate(self.max_cones):
+            for v in cone:
+                masks[v] |= 1 << c
+        return tuple(masks)
 
     @cached_property
     def full_mask(self) -> int:
@@ -102,7 +116,12 @@ class Fan:
 
     def cone_mask(self, indices: Iterable[int]) -> int:
         """Maximal cones holding every given ray; nonzero iff the rays span a cone."""
-        return common_cells(self.incidence, indices, self.full_mask)
+        masks, out = self.incidence, self.full_mask
+        for i in indices:
+            if not 0 <= i < len(masks):
+                raise BadIndexError(f"index {i} out of range 0..{len(masks) - 1}")
+            out &= masks[i]
+        return out
 
     def faces_over(
         self, mask: int, rays: Sequence[int]

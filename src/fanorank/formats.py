@@ -20,7 +20,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .bounds import AnalysisReport, BoundCheck
@@ -125,15 +125,17 @@ def polytopes_to_text(polytopes: Sequence[FanoPolytope]) -> str:
 # -- family specs --------------------------------------------------------------
 
 
-def _parse_spec(text: str, pos: int) -> tuple[object, int]:
+def _parse_spec(text: str, pos: int) -> tuple[FanoPolytope, int]:
+    """The polytope of the spec at ``pos``, named by its normalized spec,
+    and the position after it."""
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if text.startswith("product(", pos):
         pos += len("product(")
-        args = []
+        factors = []
         while True:
-            node, pos = _parse_spec(text, pos)
-            args.append(node)
+            factor, pos = _parse_spec(text, pos)
+            factors.append(factor)
             while pos < len(text) and text[pos].isspace():
                 pos += 1
             if pos >= len(text):
@@ -145,9 +147,11 @@ def _parse_spec(text: str, pos: int) -> tuple[object, int]:
                 pos += 1
                 break
             raise FamilySpecError(f"expected ',' or ')' at position {pos}")
-        if len(args) < 2:
+        if len(factors) < 2:
             raise FamilySpecError("product needs at least two factors")
-        return ("product", args), pos
+        built = reduce(free_sum, factors)
+        name = "product(" + ",".join(f.name for f in factors) + ")"
+        return FanoPolytope(built.dim, built.vertices, name), pos
     if text.startswith("simplex:", pos):
         pos += len("simplex:")
         start = pos
@@ -158,41 +162,20 @@ def _parse_spec(text: str, pos: int) -> tuple[object, int]:
         n = int(text[start:pos])
         if n < 1:
             raise FamilySpecError("simplex dimension must be at least 1")
-        return ("simplex", n), pos
+        return simplex(n), pos
     if text.startswith("hexagon", pos):
-        return ("hexagon", None), pos + len("hexagon")
+        return hexagon(), pos + len("hexagon")
     raise FamilySpecError(f"unrecognized family spec at position {pos}: {text[pos:]!r}")
-
-
-def _build_spec(node) -> FanoPolytope:
-    kind, arg = node
-    if kind == "simplex":
-        return simplex(arg)
-    if kind == "hexagon":
-        return hexagon()
-    built = _build_spec(arg[0])
-    for factor in arg[1:]:
-        built = free_sum(built, _build_spec(factor))
-    return built
-
-
-def _format_spec(node) -> str:
-    kind, arg = node
-    if kind == "simplex":
-        return f"simplex:{arg}"
-    if kind == "hexagon":
-        return "hexagon"
-    return "product(" + ",".join(_format_spec(a) for a in arg) + ")"
 
 
 def construct(spec: str) -> FanoPolytope:
     """Build a polytope from a family spec string, named by the normalized spec."""
-    node, pos = _parse_spec(spec, 0)
+    polytope, pos = _parse_spec(spec, 0)
     while pos < len(spec) and spec[pos].isspace():
         pos += 1
     if pos != len(spec):
         raise FamilySpecError(f"trailing input after spec: {spec[pos:]!r}")
-    return replace(_build_spec(node), name=_format_spec(node))
+    return polytope
 
 
 # -- JSON reports --------------------------------------------------------------

@@ -200,8 +200,13 @@ def is_unimodular_basis(vectors: Iterable[Sequence[int]]) -> bool:
     return abs(determinant(vs)) == 1
 
 
-def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
+def dual_basis(m: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
+    """``(d, D)`` with ``d = |det m|`` and ``D = d m^-1``, so ``D.m = d I``.
+
+    One fraction-free Gauss-Jordan elimination takes ``[m | I]`` to
+    ``[e I | e m^-1]`` with ``e = +-det m``; the sign is then made
+    positive.  Raises ValueError for a singular matrix.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeMismatchError("inverse needs a square matrix")
@@ -209,11 +214,17 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
     rows, pivots = reduced_echelon(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    d = rows[0][0] if rows else 1
-    if d not in (1, -1):
+    e = rows[0][0] if rows else 1
+    s = 1 if e > 0 else -1
+    return s * e, tuple(tuple(s * x for x in row[n:]) for row in rows)
+
+
+def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
+    """Exact integer inverse of a matrix with determinant +-1."""
+    d, inverse = dual_basis(m)
+    if d != 1:
         raise ValueError("matrix is not unimodular")
-    # rows hold [d*I | d*m^-1], and d == 1/d
-    return tuple(tuple(d * x for x in row[n:]) for row in rows)
+    return inverse
 
 
 def row_hermite(matrix: Sequence[Sequence[int]]) -> Matrix:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .lattice import (
     InternalInconsistencyError,
@@ -29,6 +29,7 @@ from .lattice import (
     Vector,
     content,
     determinant,  # noqa: F401  (the benchmark's traced run wraps polytope.determinant)
+    dual_basis,
     int_vector,
     kernel_basis,
     mat_vec,
@@ -40,10 +41,6 @@ from .lattice import (
 
 class NotFanoShapeError(ValueError):
     """The vertex set does not bound a full-dimensional body around the origin."""
-
-
-class BadIndexError(IndexError):
-    """A vertex index is out of range."""
 
 
 Facet = tuple[tuple[int, ...], Vector, int]
@@ -140,16 +137,6 @@ def _lifted_ridges(
         yield sum(1 << idx[s] for s in sub), v, _dot(v, verts[idx[sub[0]]])
 
 
-def _dual_basis(verts: Sequence[Vector], idx: tuple[int, ...], n: int) -> DualBasis:
-    """The facet's dual basis from scratch: one fraction-free Gauss-Jordan
-    elimination takes ``[B | I]`` to ``[e I | e B^-1]`` with ``e = +-det B``."""
-    rows, _ = reduced_echelon(
-        [[verts[i][k] for i in idx] + [int(j == k) for j in range(n)] for k in range(n)]
-    )
-    s = 1 if rows[0][0] > 0 else -1
-    return s * rows[0][0], tuple(tuple(s * x for x in row[n:]) for row in rows)
-
-
 def _exchange(
     dual: DualBasis, products: Matrix, r: int, w: int, pos: int
 ) -> tuple[DualBasis, Matrix]:
@@ -204,9 +191,9 @@ def _pivot_walk(
     point, and gets ``D`` and ``P`` by an O(n (n + m)) exchange
     (``_exchange``), run when it is popped, so that a pending facet
     shares its parent's products instead of holding its own.  A fresh
-    elimination (``_dual_basis``) is needed only for the first facet and
-    for a facet reached from a non-simplicial or origin facet, so once
-    per walk on a smooth input.  Any other facet takes its ridges from
+    elimination (``dual_basis`` of the facet's columns) is needed only
+    for the first facet and for a facet reached from a non-simplicial or
+    origin facet, so once per walk on a smooth input.  Any other facet takes its ridges from
     the same walk one dimension down (``_lifted_ridges``) and its tilts
     from ``v.w`` directly.  In dimension 1 the facets are the least and
     the largest point, each with its copies.  Returns the facets in index
@@ -219,7 +206,7 @@ def _pivot_walk(
         bottom = tuple(w for w, x in enumerate(xs) if x == lo)
         facets = sorted([(top, (1,), hi), (bottom, (-1,), -lo)])
         return facets, {
-            idx: _dual_basis(verts, idx, 1) for idx, _, c in facets if len(idx) == 1 and c
+            idx: dual_basis([verts[idx[0]]]) for idx, _, c in facets if len(idx) == 1 and c
         }
     first = _first_facet(verts, n)
     first_mask = sum(1 << i for i in first[0])
@@ -233,7 +220,7 @@ def _pivot_walk(
         if step is not None:
             dual, products = _exchange(*step)
         elif len(idx) == n and c:
-            dual = _dual_basis(verts, idx, n)
+            dual = dual_basis(list(zip(*(verts[i] for i in idx))))
             products = tuple(tuple(_dot(row, vert) for vert in verts) for row in dual[1])
         else:
             dual = None
@@ -272,39 +259,19 @@ def _pivot_walk(
     return sorted(found.values()), duals
 
 
-def incidence_masks(cells: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
-    """Bit ``c`` of entry ``v`` is set iff ``cells[c]`` holds ``v``.
-
-    The library's one face representation: given the maximal cells of a
-    simplicial complex (facets, or maximal cones of a fan), a point set
-    is a face iff the AND of its masks (every cell, for the empty set) is
-    nonzero.
-    """
-    masks = [0] * m
-    for c, cell in enumerate(cells):
-        for v in cell:
-            masks[v] |= 1 << c
-    return tuple(masks)
-
-
-def common_cells(masks: Sequence[int], indices: Iterable[int], full: int) -> int:
-    """AND of ``masks`` over ``indices``, from ``full``: the cells holding them all."""
-    for i in indices:
-        if not 0 <= i < len(masks):
-            raise BadIndexError(f"index {i} out of range 0..{len(masks) - 1}")
-        full &= masks[i]
-    return full
-
-
 @dataclass(frozen=True)
 class FaceLattice:
-    """Facets of a simplicial polytope, as sorted vertex index sets.
+    """Facets of a polytope of smooth Fano shape, with their inverses.
 
-    Face queries go through the face fan: ``Fan.from_polytope(p).is_cone``.
+    ``facets`` are the sorted vertex index sets, in index order.
+    ``inverses[k]`` is the integer inverse of the matrix whose columns are
+    the vertices of ``facets[k]``, the dual basis the facet walk carried,
+    or None when that facet is not unimodular.  Face queries go through
+    the face fan: ``Fan.from_polytope(p).is_cone``.
     """
 
-    dim: int
     facets: tuple[tuple[int, ...], ...]
+    inverses: tuple[Matrix | None, ...]
 
 
 @dataclass(frozen=True)
@@ -312,6 +279,14 @@ class ConditionResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _condition(name: str, failure: str) -> ConditionResult:
+    """A condition that passed iff its ``failure`` detail is empty."""
+    return ConditionResult(name, not failure, failure)
+
+
+_NOT_FULL = "not evaluated: polytope is not full-dimensional"
 
 
 @dataclass(frozen=True)
@@ -337,9 +312,9 @@ class FanoPolytope:
     Construction only enforces structural sanity (``int`` coordinates,
     consistent lengths); anything else, ``bool``, ``float`` and
     ``Fraction`` included, raises TypeError instead of being truncated.
-    The geometric conditions are checked by ``validate`` so that
-    bad input files produce diagnostics instead of exceptions.  Instances
-    are immutable and hashable.
+    The geometric conditions are checked by ``validate_smooth_fano`` so
+    that bad input files produce diagnostics instead of exceptions.
+    Instances are immutable and hashable.
     """
 
     dim: int
@@ -371,47 +346,78 @@ class FanoPolytope:
         with the dual basis of each facet of ``n`` points off the origin.
 
         Each facet is (indices of all points on the hyperplane, primitive
-        outward normal, offset), in index order; the validation report,
-        ``face_lattice`` and the face fan's cone inverses derive
-        everything they read from this pair.  A facet of ``n`` points off
-        the origin costs O(n m) for its ridges, read off its dual basis's
+        outward normal, offset), in index order.  Only this module reads
+        the pair: ``_shape``, ``validate_smooth_fano`` and ``face_lattice``
+        derive everything else from it.  A facet of ``n`` points off the
+        origin costs O(n m) for its ridges, read off its dual basis's
         products with the ``m`` points, and an O(n (n + m)) exchange for
         both; any other facet is walked one dimension down (``_pivot_walk``).
         """
         return _pivot_walk(self.vertices, self.dim)
 
     @cached_property
-    def _affine_rank(self) -> int:
-        base = self.vertices[0]
-        diffs = [
-            [v[k] - base[k] for k in range(self.dim)] for v in self.vertices[1:]
-        ]
-        return matrix_rank(diffs) if diffs else 0
+    def _shape(self) -> tuple[ConditionResult, ...]:
+        """The four shape conditions, in report order: full_dimensional,
+        origin_interior, simplicial and vertices_extremal.
+
+        The one place they are decided: ``validate_smooth_fano`` quotes
+        them and ``face_lattice`` raises on the first that fails.  The
+        last three read the facet walk and are not evaluated on a hull
+        that is not full-dimensional.
+        """
+        n, verts = self.dim, self.vertices
+        rank = matrix_rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]])
+        if rank < n:
+            return (
+                _condition("full_dimensional", f"affine rank {rank} < {n}"),
+                *(
+                    _condition(name, _NOT_FULL)
+                    for name in ("origin_interior", "simplicial", "vertices_extremal")
+                ),
+            )
+        hyperplanes = self._hull[0]
+        low = min(c for _, _, c in hyperplanes)
+        witness = min(
+            (_least_basis(pts, verts) for pts, _, _ in hyperplanes if len(pts) > n),
+            default=None,
+        )
+        loose = sorted(set(range(len(verts))).difference(*(pts for pts, _, _ in hyperplanes)))
+        return (
+            _condition("full_dimensional", ""),
+            _condition(
+                "origin_interior", "" if low > 0 else f"supporting hyperplane at offset {low}"
+            ),
+            _condition(
+                "simplicial",
+                ""
+                if witness is None
+                else f"facet hyperplane with extra vertices, e.g. {witness[0]} + {witness[1]}",
+            ),
+            _condition(
+                "vertices_extremal",
+                f"points inside the hull: {[verts[i] for i in loose]}" if loose else "",
+            ),
+        )
 
     @cached_property
     def face_lattice(self) -> FaceLattice:
-        """Facets as sorted index sets; requires genuine Fano shape.
+        """Facets as sorted index sets, with their carried inverses.
 
-        Raises NotFanoShapeError when the hull is not full-dimensional,
-        the origin is not interior, or the hull is not simplicial (the
-        last goes beyond the strict precondition but prevents silently
-        wrong face data downstream).
+        Requires smooth Fano shape: raises NotFanoShapeError with the
+        detail of the first failed shape condition (``_shape``) when the
+        hull is not full-dimensional, the origin is not interior, the
+        hull is not simplicial (beyond the strict precondition, but it
+        prevents silently wrong face data downstream) or some input point
+        is not a vertex.  Unimodularity is not required: a facet that is
+        not unimodular has None as its inverse.
         """
-        if self._affine_rank < self.dim:
-            raise NotFanoShapeError("polytope is not full-dimensional")
-        hyperplanes = self._hull[0]
-        if any(c <= 0 for _, _, c in hyperplanes):
-            raise NotFanoShapeError("origin is not an interior point")
-        if any(len(pts) > self.dim for pts, _, _ in hyperplanes):
-            raise NotFanoShapeError("polytope is not simplicial")
-        if len(set().union(*(pts for pts, _, _ in hyperplanes))) != len(self.vertices):
-            raise NotFanoShapeError("some input point is not a vertex of the hull")
-        return FaceLattice(self.dim, tuple(pts for pts, _, _ in hyperplanes))
-
-    # -- validation --------------------------------------------------------
-
-    def validate(self) -> ValidationReport:
-        return validate_smooth_fano(self)
+        failed = next((c for c in self._shape if not c.passed), None)
+        if failed is not None:
+            raise NotFanoShapeError(failed.detail)
+        hyperplanes, duals = self._hull
+        facets = tuple(pts for pts, _, _ in hyperplanes)
+        inverses = tuple(rows if d == 1 else None for d, rows in map(duals.__getitem__, facets))
+        return FaceLattice(facets, inverses)
 
     # -- canonical form ----------------------------------------------------
 
@@ -423,14 +429,13 @@ class FanoPolytope:
         permutation of the vertices.  Every facet basis is mapped to the
         standard basis (in every ordering) and the lexicographically
         least sorted vertex matrix over all those coordinates wins.  Each
-        facet's inverse is the dual basis the facet walk carried, so the
-        cost is (number of facets) * dim! sorts of the vertex images, fine
-        at desk scale.  Raises NotFanoShapeError unless the hull is
+        facet's inverse is the one ``face_lattice`` carries, so the cost
+        is (number of facets) * dim! sorts of the vertex images, fine at
+        desk scale.  Raises NotFanoShapeError unless the hull is
         simplicial with the origin inside, and ValueError if a facet is
         not unimodular.
         """
-        facets = self.face_lattice.facets
-        duals = self._hull[1]
+        inverses = self.face_lattice.inverses
         # itemgetter of one index returns a scalar, so dimension 1 keeps whole rows
         orders = (
             [itemgetter(*perm) for perm in permutations(range(self.dim))]
@@ -438,9 +443,8 @@ class FanoPolytope:
             else [tuple]
         )
         best = None
-        for facet in facets:
-            d, binv = duals[facet]
-            if d != 1:
+        for binv in inverses:
+            if binv is None:
                 raise ValueError("matrix is not unimodular")
             images = [mat_vec(binv, v) for v in self.vertices]
             for order in orders:
@@ -459,20 +463,18 @@ def _least_basis(
 
     Affine independence makes a matroid on the points, so taking each
     point in index order when it raises the affine rank gives the
-    lexicographically least basis.  The least of these over the facets
-    with extra points is the least ``n``-subset spanning such a facet,
-    which the report quotes as its witness against simpliciality.
+    lexicographically least basis: those are the pivot columns of one
+    echelon form of the differences from the first point, as columns.
+    The least of these over the facets with extra points is the least
+    ``n``-subset spanning such a facet, which the report quotes as its
+    witness against simpliciality.
     """
     base = verts[pts[0]]
-    basis, rest, diffs = [pts[0]], [], []
-    for i in pts[1:]:
-        row = [a - b for a, b in zip(verts[i], base)]
-        if matrix_rank(diffs + [row]) > len(diffs):
-            diffs.append(row)
-            basis.append(i)
-        else:
-            rest.append(i)
-    return tuple(basis), tuple(rest)
+    _, pivots = reduced_echelon(
+        [[verts[i][k] - x for i in pts[1:]] for k, x in enumerate(base)]
+    )
+    basis = (pts[0], *(pts[1 + c] for c in pivots))
+    return basis, tuple(i for i in pts if i not in basis)
 
 
 def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
@@ -480,100 +482,42 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
 
     Conditions, in evaluation order: distinct vertices, primitive
     vertices, full dimension, origin strictly interior, simplicial hull,
-    every input point a hull vertex, unimodular facets.  Unimodular
+    every input point a hull vertex, unimodular facets.  The four in the
+    middle are the polytope's shape conditions, decided once per
+    polytope (``FanoPolytope._shape``) and quoted here.  Unimodular
     facets sit on lattice-distance-1 hyperplanes, which already forces
     the origin to be the only interior lattice point, so that part of the
-    Fano definition needs no lattice-point enumeration.  Every condition
-    reads the facet walk: a facet of ``n`` points is unimodular iff the
-    walk's dual basis has ``d = |det| = 1``, and one through the origin
-    (det 0) has none, so no determinant is computed here.
+    Fano definition needs no lattice-point enumeration.  A facet of ``n``
+    points is unimodular iff the walk's dual basis has ``d = |det| = 1``,
+    and one through the origin (det 0) has none, so no determinant is
+    computed here.
     """
-    verts = p.vertices
-    n = p.dim
-    m = len(verts)
-    conditions: list[ConditionResult] = []
-
+    verts, n = p.vertices, p.dim
     dup = sorted({v for v in verts if verts.count(v) > 1})
-    conditions.append(
-        ConditionResult(
-            "vertices_distinct",
-            not dup,
-            "" if not dup else f"repeated vertices: {dup}",
-        )
-    )
-
     bad_prim = [v for v in verts if content(v) != 1]
-    conditions.append(
-        ConditionResult(
-            "vertices_primitive",
-            not bad_prim,
-            "" if not bad_prim else f"non-primitive vertices: {bad_prim}",
-        )
+    shape = p._shape
+    if shape[0].passed:
+        hyperplanes, duals = p._hull
+        # d = |det|; a facet of n points through the origin has det 0 and no dual basis
+        bad_facets = [
+            pts
+            for pts, _, _ in hyperplanes
+            if len(pts) == n and (pts not in duals or duals[pts][0] != 1)
+        ]
+        unimodular = f"non-unimodular facets: {bad_facets}" if bad_facets else ""
+    else:
+        unimodular = _NOT_FULL
+    return ValidationReport(
+        p.name,
+        (
+            _condition("vertices_distinct", f"repeated vertices: {dup}" if dup else ""),
+            _condition(
+                "vertices_primitive", f"non-primitive vertices: {bad_prim}" if bad_prim else ""
+            ),
+            *shape,
+            _condition("facets_unimodular", unimodular),
+        ),
     )
-
-    full = m >= n + 1 and p._affine_rank == n
-    conditions.append(
-        ConditionResult(
-            "full_dimensional",
-            full,
-            "" if full else f"affine rank {p._affine_rank} < {n}",
-        )
-    )
-
-    if not full:
-        skipped = "not evaluated: polytope is not full-dimensional"
-        for name in ("origin_interior", "simplicial", "vertices_extremal", "facets_unimodular"):
-            conditions.append(ConditionResult(name, False, skipped))
-        return ValidationReport(p.name, tuple(conditions))
-
-    hyperplanes, duals = p._hull
-    min_offset = min(c for _, _, c in hyperplanes)
-    conditions.append(
-        ConditionResult(
-            "origin_interior",
-            min_offset > 0,
-            "" if min_offset > 0 else f"supporting hyperplane at offset {min_offset}",
-        )
-    )
-
-    witness = min(
-        (_least_basis(pts, verts) for pts, _, _ in hyperplanes if len(pts) > n),
-        default=None,
-    )
-    conditions.append(
-        ConditionResult(
-            "simplicial",
-            witness is None,
-            ""
-            if witness is None
-            else f"facet hyperplane with extra vertices, e.g. {witness[0]} + {witness[1]}",
-        )
-    )
-
-    loose = sorted(set(range(m)).difference(*(pts for pts, _, _ in hyperplanes)))
-    conditions.append(
-        ConditionResult(
-            "vertices_extremal",
-            not loose,
-            "" if not loose else f"points inside the hull: {[verts[i] for i in loose]}",
-        )
-    )
-
-    # d = |det|; a facet of n points through the origin has det 0 and no dual basis
-    bad_facets = [
-        pts
-        for pts, _, _ in hyperplanes
-        if len(pts) == n and (pts not in duals or duals[pts][0] != 1)
-    ]
-    conditions.append(
-        ConditionResult(
-            "facets_unimodular",
-            not bad_facets,
-            "" if not bad_facets else f"non-unimodular facets: {bad_facets}",
-        )
-    )
-
-    return ValidationReport(p.name, tuple(conditions))
 
 
 # -- constructors -----------------------------------------------------------

@@ -62,6 +62,11 @@ class TestAnalyzeCommand:
         assert code == 0
         assert json.loads(target.read_text())[0]["name"] == "simplex:2"
 
+    def test_jobs_rejected(self, sample_file):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", str(sample_file), "--jobs", "2"])
+        assert info.value.code == 2
+
 
 class TestCheckCommand:
     def test_casagrande_only(self, capsys, sample_file):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from fanorank.fan import Fan, FanNotCompleteError, NotAConeError
+from fanorank.fan import BadIndexError, Fan, FanNotCompleteError, NotAConeError
 from fanorank.lattice import determinant, mat_vec, unimodular_inverse
-from fanorank.polytope import BadIndexError, FanoPolytope, free_sum, hexagon, simplex
+from fanorank.polytope import FanoPolytope, free_sum, hexagon, simplex
 
 from helpers import NON_PRODUCTS
 
@@ -81,16 +81,17 @@ class TestPointLocation:
                 assert fan.is_cone(loc.support)
 
     def test_face_fan_inverses_come_from_the_walk(self, corpus):
-        """Every cone's pre-filled inverse is the cone's own integer inverse."""
+        """Every cone's pre-filled inverse is the face lattice's, and the cone's
+        own integer inverse."""
         members = [p for _, p in corpus]
         members += [FanoPolytope(dim, verts, name) for name, (dim, verts) in NON_PRODUCTS.items()]
         for p in members:
             fan = Fan.from_polytope(p)
-            cache = fan._inverse_cache
-            assert sorted(cache) == list(range(len(fan.max_cones))), p.name
-            for ci, cone in enumerate(fan.max_cones):
+            inverses = p.face_lattice.inverses
+            assert fan._inverse_cache == dict(enumerate(inverses)), p.name
+            for cone, inverse in zip(fan.max_cones, inverses):
                 cols = tuple(zip(*(fan.generators[i] for i in cone)))
-                assert cache[ci] == unimodular_inverse(cols), (p.name, cone)
+                assert inverse == unimodular_inverse(cols), (p.name, cone)
 
     def test_non_unimodular_cones_stay_lazy(self):
         p = FanoPolytope(2, ((1, 0), (0, 1), (-1, -2)))
@@ -100,7 +101,8 @@ class TestPointLocation:
             for ci, cone in enumerate(fan.max_cones)
             if abs(determinant([fan.generators[i] for i in cone])) == 1
         ]
-        assert sorted(fan._inverse_cache) == unimodular == [0, 2]
+        carried = [ci for ci, inverse in enumerate(p.face_lattice.inverses) if inverse is not None]
+        assert carried == sorted(fan._inverse_cache) == unimodular == [0, 2]
         with pytest.raises(ValueError, match="not unimodular"):
             fan.minimal_cone_containing((-1, -1))
 

@@ -16,7 +16,7 @@ from fanorank.formats import (
     report_json,
     report_to_dict,
 )
-from fanorank.polytope import FanoPolytope, hexagon, simplex
+from fanorank.polytope import FanoPolytope, free_sum, hexagon, simplex
 
 
 class TestParse:
@@ -91,6 +91,26 @@ class TestConstruct:
     def test_whitespace_tolerated(self):
         p = construct(" product( simplex:2 , hexagon ) ")
         assert p.name == "product(simplex:2,hexagon)"
+
+    @pytest.mark.parametrize(
+        "spec, name, expected",
+        [
+            ("simplex:1", "simplex:1", simplex(1)),
+            (
+                " product( product(simplex:1 ,hexagon), simplex:2 ) ",
+                "product(product(simplex:1,hexagon),simplex:2)",
+                free_sum(free_sum(simplex(1), hexagon()), simplex(2)),
+            ),
+            (
+                "product(simplex:1,hexagon,simplex:1)",
+                "product(simplex:1,hexagon,simplex:1)",
+                free_sum(free_sum(simplex(1), hexagon()), simplex(1)),
+            ),
+        ],
+    )
+    def test_names_and_vertices(self, spec, name, expected):
+        p = construct(spec)
+        assert (p.dim, p.vertices, p.name) == (expected.dim, expected.vertices, name)
 
     @pytest.mark.parametrize(
         "bad",

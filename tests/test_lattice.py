@@ -12,6 +12,7 @@ from fanorank.lattice import (
     ShapeMismatchError,
     ZeroVectorError,
     determinant,
+    dual_basis,
     identity_matrix,
     is_primitive,
     is_unimodular_basis,
@@ -26,7 +27,7 @@ from fanorank.lattice import (
     unimodular_inverse,
 )
 
-from helpers import det_over_q, random_unimodular, rank_over_q
+from helpers import det_over_q, inverse_over_q, random_unimodular, rank_over_q
 
 
 class TestIsPrimitive:
@@ -172,6 +173,38 @@ class TestUnimodularInverse:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             unimodular_inverse(((1, 1), (1, 1)))
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestDualBasis:
+    @given(square_matrices)
+    def test_against_rational_elimination(self, rows):
+        """d = |det| and D = d B^-1 over the rationals; ``unimodular_inverse``
+        raises iff d != 1, and both raise on a singular matrix."""
+        det = det_over_q(rows)
+        if det == 0:
+            for fn in (dual_basis, unimodular_inverse):
+                with pytest.raises(ValueError, match="singular"):
+                    fn(rows)
+            return
+        d, dual = dual_basis(rows)
+        n = len(rows)
+        assert d == abs(det)
+        scaled = tuple(tuple(d * x for x in row) for row in identity_matrix(n))
+        assert mat_mul(dual, rows) == scaled
+        inverse = inverse_over_q(rows)
+        assert [list(row) for row in dual] == [[d * x for x in row] for row in inverse]
+        if d == 1:
+            assert unimodular_inverse(rows) == dual
+        else:
+            with pytest.raises(ValueError, match="not unimodular"):
+                unimodular_inverse(rows)
 
 
 class TestQuotientProjection:

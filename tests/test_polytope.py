@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -229,6 +230,46 @@ def test_normal_form_errors(name, dim, verts):
     with pytest.raises(ValueError) as info:
         FanoPolytope(dim, verts, name).normal_form()
     assert type(info.value) is error, name
+
+
+SHAPE = ("full_dimensional", "origin_interior", "simplicial", "vertices_extremal")
+
+
+@pytest.mark.parametrize(
+    "name, dim, verts",
+    [(name, *BAD_INPUTS[name]) for name in sorted(BAD_INPUTS) if name != "non-unimodular facet"]
+    + [("flat", 2, ((1, 0), (-1, 0)))],
+)
+def test_face_lattice_quotes_the_failed_shape_condition(name, dim, verts):
+    p = FanoPolytope(dim, verts, name)
+    report = validate_smooth_fano(p)
+    failed = next(c for c in report.conditions if c.name in SHAPE and not c.passed)
+    with pytest.raises(NotFanoShapeError) as info:
+        p.face_lattice
+    assert str(info.value) == failed.detail, name
+
+
+def test_analyze_decides_shape_and_report_once(monkeypatch):
+    calls = {"shape": 0, "report": 0}
+    shape, report = FanoPolytope.__dict__["_shape"].func, polytope.ValidationReport
+
+    def counted_shape(self):
+        calls["shape"] += 1
+        return shape(self)
+
+    def counted_report(*args):
+        calls["report"] += 1
+        return report(*args)
+
+    counted = cached_property(counted_shape)
+    counted.__set_name__(FanoPolytope, "_shape")
+    monkeypatch.setattr(FanoPolytope, "_shape", counted)
+    monkeypatch.setattr(polytope, "ValidationReport", counted_report)
+    cube = FanoPolytope(*BAD_INPUTS["3-cube"], "3-cube")
+    for p, valid in ((construct("product(simplex:2,hexagon)"), True), (cube, False)):
+        calls.update(shape=0, report=0)
+        assert analyze(p).valid is valid
+        assert calls == {"shape": 1, "report": 1}, p.name
 
 
 def assert_walk_matches_oracle(p):
