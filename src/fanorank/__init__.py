@@ -29,20 +29,11 @@ from .formats import (
     report_json,
     report_to_dict,
 )
-from .lattice import (
-    QuotientProjection,
-    is_primitive,
-    is_unimodular_basis,
-    quotient_projection,
-)
+from .lattice import is_primitive, is_unimodular_basis
 from .mori import (
     MinimalComponent,
     PrimitiveRelation,
-    anticanonical_degree,
     count_pc_extensions,
-    curve_class_of,
-    is_effective_relation,
-    is_extremal_degree_one,
     lift_zero_sum_collections,
     minimal_components,
     picard_rank,
@@ -69,10 +60,8 @@ __all__ = [
     "FanoPolytope",
     "MinimalComponent",
     "PrimitiveRelation",
-    "QuotientProjection",
     "ValidationReport",
     "analyze",
-    "anticanonical_degree",
     "batch_json",
     "batch_to_dict",
     "cfh_rank_bound",
@@ -82,12 +71,9 @@ __all__ = [
     "check_weak",
     "construct",
     "count_pc_extensions",
-    "curve_class_of",
     "enumerate_2d",
     "free_sum",
     "hexagon",
-    "is_effective_relation",
-    "is_extremal_degree_one",
     "is_primitive",
     "is_unimodular_basis",
     "lift_zero_sum_collections",
@@ -98,7 +84,6 @@ __all__ = [
     "polytope_to_text",
     "primitive_collections",
     "primitive_relation",
-    "quotient_projection",
     "report_json",
     "report_to_dict",
     "simplex",

@@ -8,9 +8,10 @@ is unimodular, locating a lattice point means multiplying it by the
 cone's integer inverse, with no rounding anywhere.  A face fan takes
 those inverses from the polytope's ``face_lattice``; a fan built by hand
 inverts a cone the first time a query reaches it.  The star quotient
-construction collapses a cone to produce the fan of the corresponding
-intersection of toric divisors, keeping enough lifting data to pull
-quotient rays back to original generators.
+collapses a cone to the fan of the corresponding intersection of toric
+divisors.  Its projection is a set of rows of one of those same cone
+inverses, and each quotient ray lifts back to the one generator that
+projects onto it.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .lattice import (
+    InternalInconsistencyError,
     Matrix,
-    QuotientProjection,
     ShapeMismatchError,
     Vector,
+    identity_matrix,
     int_vector,
     mat_vec,
     primitive_part,
-    quotient_projection,
     unimodular_inverse,
 )
 from .polytope import FanoPolytope
@@ -43,6 +44,10 @@ class NotAConeError(ValueError):
 
 class BadIndexError(IndexError):
     """A ray index is out of range."""
+
+
+class NotAFanError(ValueError):
+    """Two cones overlap in more than a common face, so the data is not a fan."""
 
 
 @dataclass(frozen=True)
@@ -61,14 +66,12 @@ class ConeLocation:
 class StarQuotientLift:
     """Lifting data attached to a star quotient fan.
 
-    ``ray_preimages[i]`` lists every original generator projecting onto
-    quotient ray ``i`` (ascending); ``ray_lift[i]`` is the lowest-index
-    one, the deterministic default lift.
+    ``projection`` maps Z^n onto the quotient lattice, and ``ray_lift[i]``
+    is the one original generator projecting onto quotient ray ``i``.
     """
 
     center: tuple[int, ...]
-    projection: QuotientProjection
-    ray_preimages: tuple[tuple[int, ...], ...]
+    projection: Matrix
     ray_lift: tuple[int, ...]
 
 
@@ -202,34 +205,43 @@ class Fan:
     def star_quotient(self, sigma: Iterable[int]) -> tuple["Fan", StarQuotientLift]:
         """Fan of the quotient lattice along a cone, with lifting data.
 
+        The projection comes from the fan's own cone inverses: with ``C``
+        the first maximal cone holding ``sigma`` and ``D`` its integer
+        inverse, the rows of ``D`` at the positions of ``C - sigma`` kill
+        ``sigma`` and, ``D`` being unimodular, map Z^n onto Z^(n - r).
         Rays of the result are the primitivized projections of every
-        generator that spans a cone together with ``sigma``; maximal
-        cones are the images of the maximal cones containing ``sigma``.
-        Several generators may project to one quotient ray, so the full
-        preimage lists are kept and the lowest index is the default lift.
+        generator that spans a cone together with ``sigma``, in index
+        order; maximal cones are the images of the maximal cones
+        containing ``sigma``.  Two cones ``sigma + w`` of a fan meet only
+        in ``sigma``, so no two generators project onto one ray; when two
+        do, NotAFanError names both.
         """
         sig = tuple(sorted(set(sigma)))
         sig_mask = self.cone_mask(sig)
         if not sig_mask:
             raise NotAConeError(f"{sig} is not a cone of the fan")
-        proj = quotient_projection(
-            [self.generators[i] for i in sig], ambient_rank=self.dim
-        )
+        if sig:
+            ci = (sig_mask & -sig_mask).bit_length() - 1
+            cone = self.max_cones[ci]
+            proj = tuple(
+                row for i, row in zip(cone, self._cone_inverse(ci)) if i not in sig
+            )
+            if any(any(mat_vec(proj, self.generators[i])) for i in sig):
+                raise InternalInconsistencyError(f"projection does not kill {sig}")
+        else:
+            proj = identity_matrix(self.dim)
 
-        ray_index: dict[Vector, int] = {}
-        preimages: list[list[int]] = []
-        images: dict[int, int] = {}
+        lifts: dict[Vector, int] = {}  # quotient ray -> its one preimage
         for w, w_mask in enumerate(self.incidence):
             if w in sig or not sig_mask & w_mask:
                 continue
-            u = primitive_part(proj.apply(self.generators[w]))
-            i = ray_index.get(u)
-            if i is None:
-                i = ray_index[u] = len(preimages)
-                preimages.append([w])
-            else:
-                preimages[i].append(w)
-            images[w] = i
+            u = primitive_part(mat_vec(proj, self.generators[w]))
+            if u in lifts:
+                raise NotAFanError(
+                    f"generators {lifts[u]} and {w} project onto one ray along {sig}"
+                )
+            lifts[u] = w
+        images = {w: i for i, w in enumerate(lifts.values())}
 
         quotient_cones = sorted(
             {
@@ -238,13 +250,5 @@ class Fan:
                 if sig_mask >> ci & 1
             }
         )
-
-        gens = tuple(sorted(ray_index, key=ray_index.get))
-        qfan = Fan(self.dim - len(sig), gens, tuple(quotient_cones))
-        lift = StarQuotientLift(
-            center=sig,
-            projection=proj,
-            ray_preimages=tuple(tuple(p) for p in preimages),
-            ray_lift=tuple(p[0] for p in preimages),
-        )
-        return qfan, lift
+        qfan = Fan(self.dim - len(sig), tuple(lifts), tuple(quotient_cones))
+        return qfan, StarQuotientLift(sig, proj, tuple(lifts.values()))

@@ -10,7 +10,6 @@ between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -23,10 +22,6 @@ class ZeroVectorError(ValueError):
 
 class ShapeMismatchError(ValueError):
     """Vector or matrix dimensions do not line up."""
-
-
-class NotSaturatedError(ValueError):
-    """The given vectors do not extend to a basis of the ambient lattice."""
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -84,13 +79,6 @@ def identity_matrix(n: int) -> Matrix:
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:
     return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
@@ -226,119 +214,3 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
         raise ValueError("matrix is not unimodular")
     return inverse
 
-
-def row_hermite(matrix: Sequence[Sequence[int]]) -> Matrix:
-    """Row-style Hermite normal form (left multiplication by a unimodular map).
-
-    Pivots are positive and entries above a pivot are reduced into
-    ``[0, pivot)``; the row space is unchanged.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return ()
-    nc = len(rows[0])
-    if any(len(r) != nc for r in rows):
-        raise ShapeMismatchError("ragged matrix")
-    r = 0
-    for c in range(nc):
-        while True:
-            piv = None
-            best = None
-            for i in range(r, len(rows)):
-                x = rows[i][c]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best:
-                        piv, best = i, ax
-            if piv is None:
-                break
-            rows[r], rows[piv] = rows[piv], rows[r]
-            done = True
-            for i in range(r + 1, len(rows)):
-                if rows[i][c]:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    if rows[i][c]:
-                        done = False
-            if done:
-                break
-        if piv is None:
-            continue
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows)
-
-
-@dataclass(frozen=True)
-class QuotientProjection:
-    """A surjection Z^n -> Z^(n-r) whose kernel is exactly the given span.
-
-    ``matrix`` is the integer left kernel of the basis, in reduced row
-    Hermite form: its rows are a Z-basis of the vectors orthogonal to the
-    span, so it maps Z^n onto the whole quotient lattice Z^(n-r).
-    """
-
-    ambient_rank: int
-    kernel_rank: int
-    matrix: Matrix
-
-    def apply(self, v: Sequence[int]) -> Vector:
-        if len(v) != self.ambient_rank:
-            raise ShapeMismatchError(
-                f"expected a vector of length {self.ambient_rank}, got {len(v)}"
-            )
-        return mat_vec(self.matrix, v)
-
-
-def quotient_projection(
-    kernel_basis: Iterable[Sequence[int]], *, ambient_rank: int | None = None
-) -> QuotientProjection:
-    """Projection of Z^n onto the quotient by the span of ``kernel_basis``.
-
-    The basis must extend to a Z-basis of the ambient lattice (this is
-    automatic for the generators of a cone in a smooth fan); otherwise
-    NotSaturatedError is raised.  One row Hermite form ``[U B | U]`` of
-    ``[B | I]``, with the basis as the columns of ``B``, decides both: the
-    basis is saturated iff ``U B`` starts with ``I_r``, and then the last
-    ``n - r`` rows of ``U`` span the left kernel of ``B``.  They are
-    already in reduced row Hermite form, which is unique for the lattice,
-    so equal spans give equal matrices.
-    """
-    basis = [int_vector(v, "kernel vector") for v in kernel_basis]
-    if basis:
-        n = len(basis[0])
-        if any(len(b) != n for b in basis):
-            raise ShapeMismatchError("kernel vectors have mixed lengths")
-        if ambient_rank is not None and ambient_rank != n:
-            raise ShapeMismatchError(
-                f"kernel vectors have length {n}, ambient_rank is {ambient_rank}"
-            )
-    elif ambient_rank is not None:
-        n = ambient_rank
-    else:
-        raise ShapeMismatchError("empty kernel basis needs an explicit ambient_rank")
-    r = len(basis)
-    if r > n:
-        raise NotSaturatedError(f"{r} vectors cannot be independent in rank {n}")
-
-    rows = row_hermite(
-        [tuple(b[i] for b in basis) + e for i, e in enumerate(identity_matrix(n))]
-    )
-    for i in range(r):
-        if rows[i][i] != 1:
-            raise NotSaturatedError(
-                "kernel basis does not extend to a lattice basis "
-                f"(Hermite diagonal entry {rows[i][i]})"
-            )
-    proj = tuple(row[r:] for row in rows[r:])
-    for b in basis:
-        if any(mat_vec(proj, b)):
-            raise InternalInconsistencyError("projection does not kill its kernel")
-    return QuotientProjection(n, r, proj)

@@ -1,4 +1,4 @@
-"""Primitive collections, primitive relations, and curve classes.
+"""Primitive collections, primitive relations, and the toric Mori toolkit.
 
 A primitive collection is a minimal non-face of the fan: a set of rays
 spanning no cone, every proper subset of which does.  Writing the sum of
@@ -9,21 +9,19 @@ generators).  Degree here always means anticanonical degree: the sum of
 the relation's coefficients.  Collections summing to zero play a special
 role, corresponding to families of minimal rational curves; we call
 their records minimal components and grade them by codegree
-``dim + 1 - degree``.
+``dim + 1 - degree``.  The proof tools around them are Reid's cone
+checks for a degree-1 relation, the count of collections extending a
+cone by one ray, and the lift of zero-sum collections out of a star
+quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Iterable, Sequence
 
 from .fan import Fan, NotAConeError
-from .lattice import InternalInconsistencyError, Vector
-
-
-class NotACurveClassError(ValueError):
-    """The coefficient vector is not a relation among the ray generators."""
+from .lattice import InternalInconsistencyError
 
 
 class NotCertifiedExtremalError(ValueError):
@@ -129,48 +127,6 @@ def minimal_components(fan: Fan) -> tuple[MinimalComponent, ...]:
     return tuple(out)
 
 
-def curve_class_of(fan: Fan, rel: PrimitiveRelation) -> Vector:
-    """Coefficient vector over all generators: +1 on the collection, -a on the rhs."""
-    coeffs = [0] * len(fan.generators)
-    for i in rel.collection:
-        coeffs[i] += 1
-    for j, a in rel.rhs:
-        coeffs[j] -= a
-    cls = tuple(coeffs)
-    _require_curve_class(fan, cls)
-    return cls
-
-
-def _require_curve_class(fan: Fan, coefficients: Sequence[int]) -> None:
-    if len(coefficients) != len(fan.generators):
-        raise NotACurveClassError(
-            f"expected {len(fan.generators)} coefficients, got {len(coefficients)}"
-        )
-    for k in range(fan.dim):
-        if sum(c * fan.generators[i][k] for i, c in enumerate(coefficients)):
-            raise NotACurveClassError(
-                "coefficients are not a relation among the generators"
-            )
-
-
-def anticanonical_degree(fan: Fan, coefficients: Sequence[int]) -> int:
-    """Sum of the coefficients of a relation among the generators."""
-    _require_curve_class(fan, coefficients)
-    return sum(coefficients)
-
-
-def is_effective_relation(fan: Fan, coefficients: Sequence[int]) -> bool:
-    """True iff the support of the negative part spans a cone."""
-    _require_curve_class(fan, coefficients)
-    negative = tuple(i for i, c in enumerate(coefficients) if c < 0)
-    return fan.is_cone(negative)
-
-
-def is_extremal_degree_one(fan: Fan, rel: PrimitiveRelation) -> bool:
-    """Degree-1 sufficient criterion: such classes span extremal rays on Fanos."""
-    return anticanonical_degree(fan, curve_class_of(fan, rel)) == 1
-
-
 def verify_reid_cones(
     fan: Fan, rel: PrimitiveRelation, *, require_degree_one: bool = True
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -228,35 +184,21 @@ def lift_zero_sum_collections(
     """Find zero-sum collections in the star quotient along ``sigma`` and lift them.
 
     Each quotient collection of size t+1 should, after dropping one ray
-    and lifting the remaining t (preferring the lowest-index preimages),
-    span a cone together with ``sigma``.  When the default lifts fail,
-    the full preimage lists are searched before reporting a failure.
+    and lifting the remaining t to their preimages, span a cone together
+    with ``sigma``.  Members are dropped in order and the first drop that
+    gives a cone is kept; when none does, the lift dropping the first
+    member is reported with ``forms_cone`` False.
     """
     sig = tuple(sorted(set(sigma)))
     qfan, lift = fan.star_quotient(sig)
     results = []
     for comp in minimal_components(qfan):
         pc = comp.collection
-        best: tuple[int, tuple[int, ...], bool] | None = None
-        for dropped in pc:
-            rest = tuple(r for r in pc if r != dropped)
-            default = tuple(sorted(lift.ray_lift[r] for r in rest))
-            if fan.is_cone(sig + default):
-                best = (dropped, default, True)
-                break
-        if best is None:
-            for dropped in pc:
-                rest = tuple(r for r in pc if r != dropped)
-                for combo in iter_product(*(lift.ray_preimages[r] for r in rest)):
-                    cand = tuple(sorted(combo))
-                    if len(set(cand)) == len(cand) and fan.is_cone(sig + cand):
-                        best = (dropped, cand, True)
-                        break
-                if best is not None:
-                    break
-        if best is None:
-            first = pc[0]
-            rest = tuple(r for r in pc if r != first)
-            best = (first, tuple(sorted(lift.ray_lift[r] for r in rest)), False)
-        results.append(ZeroSumLift(pc, best[0], best[1], best[2]))
+        candidates = [
+            (dropped, tuple(sorted(lift.ray_lift[r] for r in pc if r != dropped)))
+            for dropped in pc
+        ]
+        found = next((c for c in candidates if fan.is_cone(sig + c[1])), None)
+        dropped, lifted = found or candidates[0]
+        results.append(ZeroSumLift(pc, dropped, lifted, found is not None))
     return tuple(results)

@@ -7,7 +7,9 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from fanorank import Fan, construct, enumerate_2d, simplex
+from fanorank import Fan, FanoPolytope, construct, enumerate_2d, simplex
+
+from helpers import NON_PRODUCTS
 
 FACTORS = ("simplex:1", "simplex:2", "hexagon")
 
@@ -38,3 +40,10 @@ def corpus(two_d_classes):
 def corpus_fans(corpus):
     """Corpus members with their face fans; built once, shared everywhere."""
     return [(name, p, Fan.from_polytope(p)) for name, p in corpus]
+
+
+@pytest.fixture(scope="session")
+def sweep_fans(corpus_fans):
+    """Corpus fans plus the smooth Fano 3- and 4-folds that are not products."""
+    extra = [FanoPolytope(dim, verts, name) for name, (dim, verts) in NON_PRODUCTS.items()]
+    return corpus_fans + [(p.name, p, Fan.from_polytope(p)) for p in extra]

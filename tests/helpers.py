@@ -6,7 +6,9 @@ by a second route: a face set built as frozensets from the maximal cones,
 brute-force subset scans over it for primitive collections, extension
 counts and Reid cone checks, an angular-sort hull for 2D facets, a
 scan of every ``n``-subset's hyperplane for the facets of any hull,
-a scan of every facet basis in every order for the normal form,
+a scan of every facet basis in every order for the normal form, the
+link and cones of a star read off the maximal cones, with a rank test
+that a star quotient's rays are a linear image of the link,
 Gaussian elimination over ``Fraction`` for ranks, determinants and
 inverses, and elementary-matrix products for random unimodular maps.
 Nothing here reads the library's face data (its incidence masks,
@@ -95,6 +97,40 @@ def brute_force_reid_violations(fan, rel):
             if (lhs - {i}) | face not in faces:
                 out.append((i, tuple(sorted(z))))
     return tuple(out)
+
+
+def rays_and_two_cones(fan):
+    """Every ray and every 2-cone of the fan, read off the maximal cones."""
+    pairs = {pair for cone in fan.max_cones for pair in combinations(sorted(cone), 2)}
+    return [(v,) for v in range(len(fan.generators))] + sorted(pairs)
+
+
+def star_quotient_oracle(fan, sigma):
+    """``(link, cones)`` of the star of ``sigma``, from the maximal cones alone.
+
+    ``link`` lists, ascending, every generator ``w`` outside ``sigma`` for
+    which ``sigma + w`` lies in a maximal cone, that is, spans a cone.
+    ``cones`` holds each maximal cone containing ``sigma`` with ``sigma``
+    taken out, sorted, in the fan's generator indices.
+    """
+    sig = frozenset(sigma)
+    star = [frozenset(c) for c in fan.max_cones if sig <= frozenset(c)]
+    link = tuple(sorted(frozenset().union(*star) - sig))
+    cones = sorted({tuple(sorted(c - sig)) for c in star})
+    return link, cones
+
+
+def is_quotient_image(fan, sigma, link, images):
+    """True iff one rational linear map kills ``sigma``'s generators and
+    sends the generator of each ``link[i]`` to ``images[i]``.
+
+    By ranks only: such a map exists iff putting the images beside their
+    generators (zeros beside ``sigma``'s) leaves the rank unchanged.
+    """
+    q = len(images[0]) if images else 0
+    gens = [fan.generators[i] for i in sigma] + [fan.generators[w] for w in link]
+    beside = [(0,) * q] * len(sigma) + list(images)
+    return rank_over_q([g + b for g, b in zip(gens, beside)]) == rank_over_q(gens)
 
 
 def hull_edges_by_angle(vertices):

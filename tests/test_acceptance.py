@@ -135,11 +135,11 @@ def test_criterion_06_collection_oracle_equivalence(corpus_fans):
     _report(f"06 depth-first collections equal brute force on {checked} members")
 
 
-def test_criterion_07_reid_verification(corpus_fans):
+def test_criterion_07_reid_verification(sweep_fans):
     from fanorank.mori import primitive_relation
 
     checked = 0
-    for name, p, fan in corpus_fans:
+    for name, p, fan in sweep_fans:
         for pc in primitive_collections(fan):
             rel = primitive_relation(fan, pc)
             if rel.degree == 1:

@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from fanorank.fan import BadIndexError, Fan, FanNotCompleteError, NotAConeError
+from fanorank.fan import BadIndexError, Fan, FanNotCompleteError, NotAConeError, NotAFanError
 from fanorank.lattice import determinant, mat_vec, unimodular_inverse
 from fanorank.polytope import FanoPolytope, free_sum, hexagon, simplex
 
-from helpers import NON_PRODUCTS
+from helpers import (
+    NON_PRODUCTS,
+    is_quotient_image,
+    rays_and_two_cones,
+    star_quotient_oracle,
+)
 
 
 def fan_of(p):
@@ -145,14 +150,14 @@ class TestStarQuotient:
         assert set(qfan.generators) == {(1,), (-1,)}
         assert sorted(qfan.max_cones) == [(0,), (1,)]
         # neighbours v2 and v6 are the only generators sharing a cone with v1
-        assert set(sum(lift.ray_preimages, ())) == {1, 5}
+        assert lift.ray_lift == (1, 5)
 
     def test_empty_center_returns_same_fan(self):
         f = fan_of(hexagon())
         qfan, lift = f.star_quotient(())
         assert qfan == f
         assert lift.ray_lift == tuple(range(6))
-        assert lift.projection.matrix == ((1, 0), (0, 1))
+        assert lift.projection == ((1, 0), (0, 1))
 
     def test_not_a_cone_rejected(self):
         with pytest.raises(NotAConeError):
@@ -172,10 +177,33 @@ class TestStarQuotient:
                     pt = tuple(rng.randint(-5, 5) for _ in range(qfan.dim))
                     qfan.minimal_cone_containing(pt)
 
-    def test_preimage_lists_kept_when_rays_merge(self):
-        # quotient of (P^1)^2 by a ray folds the two transverse rays together
+    def test_transverse_rays_lift_one_each(self):
+        # quotient of (P^1)^2 by a ray: the two transverse rays stay apart
         f = fan_of(free_sum(simplex(1), simplex(1)))
         qfan, lift = f.star_quotient((0,))
         assert qfan.generators == ((1,), (-1,))
-        merged = [p for p in lift.ray_preimages if len(p) > 1]
-        assert not merged or all(p[0] == min(p) for p in merged)
+        assert lift.ray_lift == (2, 3)
+
+    def test_overlapping_cones_rejected(self):
+        # the cones over (e1, e2) and (e1, e1 + e2) overlap, so this is no fan
+        # and both link generators project onto the same quotient ray
+        broken = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
+        with pytest.raises(NotAFanError, match="generators 1 and 2"):
+            broken.star_quotient((0,))
+
+    def test_sweep_matches_oracle(self, sweep_fans):
+        """Along every ray and 2-cone of the corpus and the non-products, the
+        quotient's cones and lifts equal the star read off the maximal cones,
+        its rays are a linear image of the link that kills the center, and
+        every quotient cone is unimodular."""
+        for name, p, fan in sweep_fans:
+            for sigma in rays_and_two_cones(fan):
+                qfan, lift = fan.star_quotient(sigma)
+                link, cones = star_quotient_oracle(fan, sigma)
+                where = (name, sigma)
+                assert lift.ray_lift == link, where
+                lifted = sorted(tuple(sorted(lift.ray_lift[i] for i in c)) for c in qfan.max_cones)
+                assert lifted == cones, where
+                assert is_quotient_image(fan, sigma, link, qfan.generators), where
+                for cone in qfan.max_cones:
+                    assert abs(determinant([qfan.generators[i] for i in cone])) == 1, where

@@ -1,14 +1,11 @@
 import pytest
 
 from fanorank.fan import Fan, NotAConeError
+from fanorank.lattice import InternalInconsistencyError
 from fanorank.mori import (
-    NotACurveClassError,
     NotCertifiedExtremalError,
-    anticanonical_degree,
+    PrimitiveRelation,
     count_pc_extensions,
-    curve_class_of,
-    is_effective_relation,
-    is_extremal_degree_one,
     lift_zero_sum_collections,
     minimal_components,
     picard_rank,
@@ -18,7 +15,7 @@ from fanorank.mori import (
 )
 from fanorank.polytope import free_sum, hexagon, simplex
 
-from helpers import brute_force_primitive_collections, rank_over_q
+from helpers import brute_force_primitive_collections, rank_over_q, rays_and_two_cones
 
 
 def fan_of(p):
@@ -132,40 +129,45 @@ class TestMinimalComponents:
 
 
 class TestCurveClasses:
+    """A primitive relation is its curve class: +1 on the collection, minus
+    the right-hand coefficients on their rays, of degree their difference."""
+
     def test_hexagon_skew_class(self):
-        rel = primitive_relation(HEX, (0, 2))
-        assert curve_class_of(HEX, rel) == (1, -1, 1, 0, 0, 0)
+        # v1 + v3 = v2
+        assert primitive_relation(HEX, (0, 2)) == PrimitiveRelation((0, 2), ((1, 1),), 1)
 
     def test_hexagon_antipodal_class(self):
-        rel = primitive_relation(HEX, (0, 3))
-        assert curve_class_of(HEX, rel) == (1, 0, 0, 1, 0, 0)
+        assert primitive_relation(HEX, (0, 3)) == PrimitiveRelation((0, 3), (), 2)
 
     def test_simplex_class(self):
         f = fan_of(simplex(2))
-        rel = primitive_relation(f, (0, 1, 2))
-        assert curve_class_of(f, rel) == (1, 1, 1)
+        assert primitive_relation(f, (0, 1, 2)) == PrimitiveRelation((0, 1, 2), (), 3)
 
     def test_degrees(self):
-        assert anticanonical_degree(fan_of(simplex(2)), (1, 1, 1)) == 3
-        assert anticanonical_degree(HEX, (1, -1, 1, 0, 0, 0)) == 1
-        assert anticanonical_degree(HEX, (0, 0, 0, 0, 0, 0)) == 0
+        rels = [primitive_relation(HEX, pc) for pc in primitive_collections(HEX)]
+        assert sorted(r.degree for r in rels) == [1] * 6 + [2] * 3
+        assert all(r.degree == len(r.collection) - sum(a for _, a in r.rhs) for r in rels)
 
     def test_non_relation_rejected(self):
-        with pytest.raises(NotACurveClassError):
-            anticanonical_degree(HEX, (1, 0, 0, 0, 0, 0))
+        # a cone is no primitive collection: its sum lies in the cone itself
+        with pytest.raises(InternalInconsistencyError, match="meets its own"):
+            primitive_relation(HEX, (0, 1))
 
-    def test_effectiveness(self):
-        for pc in primitive_collections(HEX):
-            rel = primitive_relation(HEX, pc)
-            assert is_effective_relation(HEX, curve_class_of(HEX, rel))
-        # negative support {v2, v5} is an antipodal pair, hence not a cone
-        assert not is_effective_relation(HEX, (1, -1, 0, 1, -1, 0))
+    def test_effectiveness(self, sweep_fans):
+        # the relation holds, and its negative part spans a cone
+        for name, p, fan in sweep_fans:
+            for pc in primitive_collections(fan):
+                rel = primitive_relation(fan, pc)
+                lhs = [sum(fan.generators[i][k] for i in pc) for k in range(fan.dim)]
+                rhs = [sum(a * fan.generators[j][k] for j, a in rel.rhs) for k in range(fan.dim)]
+                assert lhs == rhs, (name, pc)
+                assert fan.is_cone(j for j, _ in rel.rhs), (name, pc)
 
     def test_extremal_degree_one(self):
-        assert is_extremal_degree_one(HEX, primitive_relation(HEX, (0, 2)))
-        assert not is_extremal_degree_one(HEX, primitive_relation(HEX, (0, 3)))
+        assert primitive_relation(HEX, (0, 2)).degree == 1
+        assert primitive_relation(HEX, (0, 3)).degree != 1
         f = fan_of(simplex(2))
-        assert not is_extremal_degree_one(f, primitive_relation(f, (0, 1, 2)))
+        assert primitive_relation(f, (0, 1, 2)).degree != 1
 
 
 class TestReidCones:
@@ -231,10 +233,14 @@ class TestZeroSumLifts:
         assert lift.forms_cone
         assert f.is_cone((3,) + lift.lifted)
 
-    def test_every_corpus_star_lifts(self, corpus_fans):
-        for name, p, fan in corpus_fans:
-            if fan.dim < 2 or len(fan.generators) > 12:
-                continue
-            for ray in range(0, len(fan.generators), 4):
-                for lift in lift_zero_sum_collections(fan, (ray,)):
-                    assert lift.forms_cone, (name, ray, lift)
+    def test_every_corpus_star_lifts(self, sweep_fans):
+        """Every zero-sum collection of the star quotient along every ray and
+        every 2-cone lifts to a cone, on the corpus and the non-products."""
+        lifted = {1: 0, 2: 0}
+        for name, p, fan in sweep_fans:
+            for sigma in rays_and_two_cones(fan):
+                for lift in lift_zero_sum_collections(fan, sigma):
+                    assert lift.forms_cone, (name, sigma, lift)
+                    assert fan.is_cone(sigma + lift.lifted), (name, sigma, lift)
+                    lifted[len(sigma)] += 1
+        assert lifted == {1: 685, 2: 2225}
