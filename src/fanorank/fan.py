@@ -28,7 +28,6 @@ from .lattice import (
     identity_matrix,
     int_vector,
     mat_vec,
-    primitive_part,
     unimodular_inverse,
 )
 from .polytope import FanoPolytope
@@ -209,10 +208,11 @@ class Fan:
         the first maximal cone holding ``sigma`` and ``D`` its integer
         inverse, the rows of ``D`` at the positions of ``C - sigma`` kill
         ``sigma`` and, ``D`` being unimodular, map Z^n onto Z^(n - r).
-        Rays of the result are the primitivized projections of every
-        generator that spans a cone together with ``sigma``, in index
-        order; maximal cones are the images of the maximal cones
-        containing ``sigma``.  Two cones ``sigma + w`` of a fan meet only
+        Rays of the result are the projections of every generator that
+        spans a cone together with ``sigma``, in index order, each
+        primitive because ``sigma + w`` is a face of a unimodular cone;
+        maximal cones are the images of the maximal cones containing
+        ``sigma``.  Two cones ``sigma + w`` of a fan meet only
         in ``sigma``, so no two generators project onto one ray; when two
         do, NotAFanError names both.
         """
@@ -235,7 +235,7 @@ class Fan:
         for w, w_mask in enumerate(self.incidence):
             if w in sig or not sig_mask & w_mask:
                 continue
-            u = primitive_part(mat_vec(proj, self.generators[w]))
+            u = mat_vec(proj, self.generators[w])
             if u in lifts:
                 raise NotAFanError(
                     f"generators {lifts[u]} and {w} project onto one ray along {sig}"

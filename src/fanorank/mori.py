@@ -1,7 +1,13 @@
 """Primitive collections, primitive relations, and the toric Mori toolkit.
 
 A primitive collection is a minimal non-face of the fan: a set of rays
-spanning no cone, every proper subset of which does.  Writing the sum of
+spanning no cone, every proper subset of which does.  Equivalently it is
+a minimal transversal of the complements of the maximal cones: it meets
+every complement, and each member has a critical cone, one that holds
+the set without that member.  The collections are enumerated as such by
+the MMCS search (Murakami & Uno, 2014, on the problem studied by Eiter &
+Gottlob, 1995), which grows a set by branching on the complement of a
+cone still holding it and never walks the faces.  Writing the sum of
 its generators in the minimal cone containing it produces the primitive
 relation, an integer relation among ray generators and hence a curve
 class (numerical classes of curves are exactly the relations among the
@@ -69,29 +75,47 @@ class ZeroSumLift:
 def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """All minimal non-faces, by increasing size then lexicographically.
 
-    Depth-first walk over the faces on the fan's incidence masks.  A face
-    ``F`` is extended by each ray ``j > max(F)``: when ``F + j`` still
-    spans a cone the walk descends into it, and otherwise ``F + j`` is a
-    primitive collection iff every ``(F - x) + j`` spans a cone.  Each
-    stack frame carries, for every member ``x`` of ``F``, the mask of
-    ``F - x`` (its "drop" mask), so that test is one AND per member and
-    no set is ever built.  A collection's proper subsets are faces, so
-    each one is found from the face missing its largest ray, and sizes
-    stay at most ``dim + 1``.
+    A set of rays spans no cone iff it meets the complement of every
+    maximal cone, so the primitive collections are the minimal
+    transversals of the facet complements.  They are enumerated by MMCS
+    (Murakami & Uno, "Efficient algorithms for dualizing large-scale
+    hypergraphs", 2014; the problem is Eiter & Gottlob's, "Identifying
+    the minimal transversals of a hypergraph and related problems",
+    1995), which never walks the faces.  A search node holds a set
+    ``S``, ``cone_mask(S)`` (the cones still holding ``S``), one drop
+    mask ``cone_mask(S - x)`` per member, and a bitset of candidate
+    rays.  An empty mask means ``S`` is a collection.  Otherwise the
+    search branches on the complement of the first cone in the mask:
+    the ``i``-th candidate ``e`` outside that cone gives the child
+    ``S + e``, whose candidates are the old ones minus the complement
+    plus the ``i - 1`` rays of it tried before ``e``.  A child is kept
+    only while every member stays critical, that is, some cone holds
+    ``S + e - x`` but not ``S + e``, one AND per member on the drop
+    masks.  Each collection is reached exactly once.  The ground set is
+    the rays lying in some cone, so a ray in no cone is never reported.
     """
     inc = fan.incidence
-    m = len(inc)
+    cone_rays = [sum(1 << v for v in cone) for cone in fan.max_cones]
+    ground = sum(1 << v for v, mask in enumerate(inc) if mask)
     found: list[tuple[int, ...]] = []
-    stack = [((i,), mask, (fan.full_mask,)) for i, mask in enumerate(inc) if mask]
+    stack = [((), fan.full_mask, (), ground)] if fan.full_mask else []
     while stack:
-        face, mask, drops = stack.pop()
-        for j in range(face[-1] + 1, m):
-            inc_j = inc[j]
-            new = mask & inc_j
-            if new:
-                stack.append((face + (j,), new, (*map(inc_j.__and__, drops), mask)))
-            elif all(map(inc_j.__and__, drops)):
-                found.append(face + (j,))
+        s, mask, drops, cand = stack.pop()
+        if not mask:
+            found.append(tuple(sorted(s)))
+            continue
+        branch = cand & ~cone_rays[(mask & -mask).bit_length() - 1]
+        cand ^= branch
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            e = low.bit_length() - 1
+            inc_e = inc[e]
+            new = mask & inc_e
+            child_drops = tuple(map(inc_e.__and__, drops))
+            if new not in child_drops:
+                stack.append((s + (e,), new, (*child_drops, mask), cand))
+            cand |= low
     found.sort(key=lambda s: (len(s), s))
     return tuple(found)
 

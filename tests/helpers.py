@@ -4,16 +4,18 @@ Everything here is deliberately written against the definitions, not
 against the library internals, so that the main code paths are checked
 by a second route: a face set built as frozensets from the maximal cones,
 brute-force subset scans over it for primitive collections, extension
-counts and Reid cone checks, an angular-sort hull for 2D facets, a
-scan of every ``n``-subset's hyperplane for the facets of any hull,
-a scan of every facet basis in every order for the normal form, the
-link and cones of a star read off the maximal cones, with a rank test
-that a star quotient's rays are a linear image of the link,
-Gaussian elimination over ``Fraction`` for ranks, determinants and
-inverses, and elementary-matrix products for random unimodular maps.
-Nothing here reads the library's face data (its incidence masks,
-``face_set`` or ``all_faces``); only ``fan.max_cones`` and
-``fan.generators``.
+counts and Reid cone checks, a depth-first walk over every face for
+primitive collections where the subset scan is too slow, an
+angular-sort hull for 2D facets, a scan of every ``n``-subset's
+hyperplane for the facets of any hull, a scan of every facet basis in
+every order for the normal form, the link and cones of a star read off
+the maximal cones, with a rank test that a star quotient's rays are a
+linear image of the link, Gaussian elimination over ``Fraction`` for
+ranks, determinants and inverses, and elementary-matrix products for
+random unimodular maps.  Nothing here reads the library's face data
+(its incidence masks, ``face_set`` or ``all_faces``); only
+``fan.max_cones`` and ``fan.generators``, from which the face walk
+builds its own masks.
 """
 
 from fractions import Fraction
@@ -67,6 +69,40 @@ def brute_force_primitive_collections(fan):
             if all(fs - {x} in faces for x in subset):
                 out.append(subset)
     return tuple(sorted(out, key=lambda s: (len(s), s)))
+
+
+def face_walk_primitive_collections(fan):
+    """Minimal non-faces by a depth-first walk over every face.
+
+    The walk the library used before its transversal search, on facet
+    masks built here from ``fan.max_cones``.  A face ``F`` is extended
+    by each ray ``j > max(F)``: when ``F + j`` still spans a cone the
+    walk descends into it, and otherwise ``F + j`` is a primitive
+    collection iff every ``(F - x) + j`` spans a cone.  Each stack frame
+    carries, for every member ``x`` of ``F``, the mask of ``F - x``, so
+    that test is one AND per member.  It costs a step per face, which
+    stays affordable on the few-ray fans of dimension 12 and 13 that the
+    subset scan cannot reach.
+    """
+    inc = [0] * len(fan.generators)
+    for c, cone in enumerate(fan.max_cones):
+        for v in cone:
+            inc[v] |= 1 << c
+    m = len(inc)
+    full = (1 << len(fan.max_cones)) - 1
+    found = []
+    stack = [((i,), mask, (full,)) for i, mask in enumerate(inc) if mask]
+    while stack:
+        face, mask, drops = stack.pop()
+        for j in range(face[-1] + 1, m):
+            inc_j = inc[j]
+            new = mask & inc_j
+            if new:
+                stack.append((face + (j,), new, (*map(inc_j.__and__, drops), mask)))
+            elif all(map(inc_j.__and__, drops)):
+                found.append(face + (j,))
+    found.sort(key=lambda s: (len(s), s))
+    return tuple(found)
 
 
 def brute_force_pc_extensions(fan, cone):

@@ -132,7 +132,7 @@ def test_criterion_06_collection_oracle_equivalence(corpus_fans):
         checked += 1
         assert primitive_collections(fan) == brute_force_primitive_collections(fan), name
     assert checked > 0
-    _report(f"06 depth-first collections equal brute force on {checked} members")
+    _report(f"06 transversal collections equal brute force on {checked} members")
 
 
 def test_criterion_07_reid_verification(sweep_fans):
@@ -219,8 +219,8 @@ def test_criterion_13_hexagon_power_five():
     degrees = sorted(r.degree for r in report.relations)
     assert degrees == [1] * 30 + [2] * 15
     assert [(c.degree, c.codegree) for c in report.components] == [(2, 9)] * 15
-    assert elapsed < 15.0, f"analyze took {elapsed:.2f}s"
-    _report("13 hexagon^5 analyzed: 7776 facets, rho 20, 45 relations, in under 15 s")
+    assert elapsed < 5.0, f"analyze took {elapsed:.2f}s"
+    _report("13 hexagon^5 analyzed: 7776 facets, rho 20, 45 relations, in under 5 s")
 
 
 def test_criterion_14_normal_form_budget():

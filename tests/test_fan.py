@@ -163,16 +163,15 @@ class TestStarQuotient:
         with pytest.raises(NotAConeError):
             fan_of(hexagon()).star_quotient((0, 3))
 
-    def test_quotient_fans_are_smooth_and_complete(self, corpus_fans):
+    def test_quotient_fans_are_complete(self, corpus_fans):
+        """Random lattice points all land in some cone of each quotient fan;
+        ``test_sweep_matches_oracle`` checks the quotient cones themselves."""
         rng = random.Random(5)
-        for name, p, fan in corpus_fans:
+        for _, _, fan in corpus_fans:
             if fan.dim < 2 or len(fan.generators) > 12:
                 continue
             for ray in range(0, len(fan.generators), 3):
                 qfan, _ = fan.star_quotient((ray,))
-                for cone in qfan.max_cones:
-                    det = determinant([qfan.generators[i] for i in cone])
-                    assert abs(det) == 1, name
                 for _ in range(50):
                     pt = tuple(rng.randint(-5, 5) for _ in range(qfan.dim))
                     qfan.minimal_cone_containing(pt)

@@ -7,13 +7,18 @@ brute-force scans over faces built from ``fan.max_cones`` alone.  The
 fans are the test corpus, seeded unimodular images of two products and
 the smooth Fano 3- and 4-folds that are not products; each is also
 checked with its first maximal cone removed, which breaks completeness
-and gives nonempty Reid violation lists.
+and gives nonempty Reid violation lists.  ``primitive_collections`` is
+also checked against the face walk of ``helpers`` on these fans and on
+products of dimension 8 to 13 beyond the subset scan's reach, and against
+the subset scan on fans with a random subset of their cones removed.
 """
 
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanorank import construct
 from fanorank.fan import Fan
@@ -31,11 +36,19 @@ from helpers import (
     brute_force_pc_extensions,
     brute_force_primitive_collections,
     brute_force_reid_violations,
+    face_walk_primitive_collections,
     random_unimodular,
     transformed_copy,
 )
 
 IMAGE_SPECS = ("product(hexagon,hexagon)", "product(simplex:2,simplex:1,hexagon)")
+# Beyond the subset scan's reach; hexagon^2 and hexagon^3 are corpus members.
+LARGE_SPECS = (
+    "product(hexagon,hexagon,hexagon,hexagon)",
+    "simplex:13",
+    "product(simplex:6,simplex:6)",
+    "product(simplex:4,simplex:4,simplex:4)",
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +74,26 @@ def test_primitive_collections(fans):
         for f in (fan, doctored(fan)):
             want = brute_force_primitive_collections(f)
             assert primitive_collections(f) == want, name
+
+
+def test_primitive_collections_match_face_walk(fans):
+    for name, fan in fans:
+        for f in (fan, doctored(fan)):
+            assert primitive_collections(f) == face_walk_primitive_collections(f), name
+    for spec in LARGE_SPECS:
+        fan = Fan.from_polytope(construct(spec))
+        assert primitive_collections(fan) == face_walk_primitive_collections(fan), spec
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_primitive_collections_with_cones_dropped(fans, data):
+    """Dropping cones leaves some rays in no cone; those are never reported."""
+    small = [(name, fan) for name, fan in fans if len(fan.generators) <= 12]
+    name, fan = data.draw(st.sampled_from(small))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(fan.max_cones), max_size=len(fan.max_cones)))
+    f = Fan(fan.dim, fan.generators, tuple(c for c, k in zip(fan.max_cones, keep) if k))
+    assert primitive_collections(f) == brute_force_primitive_collections(f), (name, keep)
 
 
 def test_is_cone(fans):
