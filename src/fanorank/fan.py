@@ -4,8 +4,9 @@ The face fan of a validated Fano polytope has the polytope's vertices as
 primitive ray generators and its facets as maximal cones.  A set of
 rays spans a cone iff the AND of their facet-incidence bitmasks is
 nonzero, so no face is ever built as a set.  Because every maximal cone
-is unimodular, locating a lattice point means multiplying it by the
-cone's integer inverse, with no rounding anywhere.  A face fan takes
+is unimodular, a point's coordinates in a cone are its product with the
+cone's integer inverse, with no rounding anywhere, and locating it is a
+walk across the ridges of negative coordinates.  A face fan takes
 those inverses from the polytope's ``face_lattice``; a fan built by hand
 inverts a cone the first time a query reaches it.  The star quotient
 collapses a cone to the fan of the corresponding intersection of toric
@@ -177,11 +178,25 @@ class Fan:
     def minimal_cone_containing(self, point: Sequence[int]) -> ConeLocation:
         """Locate a lattice point in its unique minimal cone.
 
-        Scans maximal cones in order and solves each unimodular system
-        exactly; for a complete simplicial fan the strictly positive
-        support is the same whichever containing cone is found first.
-        The zero vector sits in the trivial cone with empty support.  A
-        coordinate whose type is not ``int`` raises TypeError.
+        A monotone walk over the maximal cones (Devillers, Pion and
+        Teillaud, "Walking in a triangulation", 2002), from cone 0.  The
+        point's coordinates in a cone are its product with the cone's
+        integer inverse.  While one is negative, the walk crosses the ridge
+        opposite the most negative (the first, on a tie) into the other
+        cone holding the ridge's rays: the other set bit of the AND of
+        their incidence masks.  On a face fan each crossing strictly
+        raises ``u_F . x / c_F``, the facet's normal over its offset, since
+        the neighbour's form minus the current one vanishes on the ridge
+        and is negative at the dropped ray.  So the walk is the simplex
+        method on the dual polytope: it never cycles and it ends in a cone
+        that contains the point.  Where the neighbour is missing or was
+        visited already (an incomplete fan, or a hand-built one with no
+        convex support), the unvisited cones are scanned in order, and
+        FanNotCompleteError is raised only if none of them contains the
+        point.  On a complete simplicial fan the strictly positive support
+        does not depend on which containing cone is found.  The zero
+        vector sits in the trivial cone with empty support.  A coordinate
+        whose type is not ``int`` raises TypeError.
         """
         pt = int_vector(point, "point")
         if len(pt) != self.dim:
@@ -190,16 +205,33 @@ class Fan:
             )
         if not any(pt):
             return ConeLocation((), ())
-        for ci in range(len(self.max_cones)):
+        cones, inc = self.max_cones, self.incidence
+        visited: set[int] = set()
+        ci = 0 if cones else -1
+        while ci >= 0 and ci not in visited:
+            visited.add(ci)
             coords = mat_vec(self._cone_inverse(ci), pt)
-            if all(x >= 0 for x in coords):
-                cone = self.max_cones[ci]
-                support = tuple(i for i, x in zip(cone, coords) if x > 0)
-                coeffs = tuple(x for x in coords if x > 0)
-                return ConeLocation(support, coeffs)
-        raise FanNotCompleteError(
-            f"no maximal cone contains {pt}; upstream hull data must be wrong"
-        )
+            k = min(range(len(coords)), key=coords.__getitem__)
+            if coords[k] >= 0:
+                break
+            ridge = self.full_mask
+            for j, i in enumerate(cones[ci]):
+                if j != k:
+                    ridge &= inc[i]
+            others = ridge & ~(1 << ci)
+            ci = (others & -others).bit_length() - 1
+        else:
+            for ci in range(len(cones)):
+                if ci not in visited:
+                    coords = mat_vec(self._cone_inverse(ci), pt)
+                    if min(coords) >= 0:
+                        break
+            else:
+                raise FanNotCompleteError(
+                    f"no maximal cone contains {pt}; upstream hull data must be wrong"
+                )
+        support = tuple(i for i, x in zip(cones[ci], coords) if x > 0)
+        return ConeLocation(support, tuple(x for x in coords if x > 0))
 
     def star_quotient(self, sigma: Iterable[int]) -> tuple["Fan", StarQuotientLift]:
         """Fan of the quotient lattice along a cone, with lifting data.

@@ -171,8 +171,35 @@ def kernel_basis(m: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
 
 
 def matrix_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, computed without division errors."""
-    return len(reduced_echelon(m)[1])
+    """Rank of an integer matrix by fraction-free forward elimination.
+
+    Bareiss steps on the rows below each pivot only, with no clearing
+    above it, so every division by the previous pivot is exact.  A tall
+    matrix is eliminated as its transpose, which has the same rank and
+    fewer rows to clear.
+    """
+    rows = [list(r) for r in m]
+    if rows and len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        prow = rows[rank]
+        p = prow[c]
+        for i in range(rank + 1, len(rows)):
+            q = rows[i][c]
+            if q:
+                rows[i] = [(p * x - q * y) // prev for x, y in zip(rows[i], prow)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in rows[i]]
+        prev = p
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def is_unimodular_basis(vectors: Iterable[Sequence[int]]) -> bool:

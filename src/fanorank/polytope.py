@@ -8,10 +8,12 @@ side of that dictionary: facet enumeration by exact ridge pivoting
 (gift-wrapping, Chand and Kapur 1970), validation of the smooth Fano
 conditions, a canonical form for unimodular-equivalence tests, and the
 standard constructions (simplices, the hexagon, free sums).  The walk
-finishes every full-dimensional input: a facet that holds more than
-``n`` points, or whose hyperplane passes through the origin, has its
-ridges found by the same walk one dimension down, so the validation
-report's evidence against simpliciality comes from the facets it found.
+pivots only across ridges whose second facet is not known yet, so a
+simplicial hull of ``F`` facets takes ``F - 1`` pivots.  It finishes
+every full-dimensional input: a facet that holds more than ``n``
+points, or whose hyperplane passes through the origin, has its ridges
+found by the same walk one dimension down, so the validation report's
+evidence against simpliciality comes from the facets it found.
 """
 
 from __future__ import annotations
@@ -137,67 +139,69 @@ def _lifted_ridges(
         yield sum(1 << idx[s] for s in sub), v, _dot(v, verts[idx[sub[0]]])
 
 
-def _exchange(
-    dual: DualBasis, products: Matrix, r: int, w: int, pos: int
-) -> tuple[DualBasis, Matrix]:
-    """The dual basis ``(d, D)`` and the products ``P = D.W`` with every
-    point after the point ``w`` replaces column ``r`` of ``B`` and the
-    columns are put back in index order, ``w`` at ``pos``.
+def _exchange(rows: Matrix, y: Sequence[int], r: int, pos: int, d: int) -> Matrix:
+    """The rows of ``D``, or of the products ``P = D.W`` with every point,
+    after the point ``w`` replaces column ``r`` of ``B`` and the columns
+    are put back in index order, ``w`` at ``pos``.
 
     A simplex pivot in exact integers: with ``y`` the column ``w`` of
     ``P`` (``D`` times the point), the new matrix has ``|det| = |y_r|``,
-    row ``r`` of ``D`` carries over and row ``k`` becomes
+    row ``r`` carries over and row ``k`` becomes
     ``(y_r D_k - y_k D_r) / d``, an exact division by Sylvester's
     identity; every row is negated when ``y_r < 0``, so that ``d`` stays
-    positive.  The rows of ``P`` take the same steps.  A row with
+    positive.  ``D`` and ``P`` take the same step, in two calls, so a
+    facet that needs no products takes only the first.  A row with
     ``y_k = 0`` and an unchanged ``d`` is shared, not copied.  Costs
-    O(n (n + m)) for ``m`` points, where a fresh elimination and its
-    products cost O(n^2 (n + m)).
+    O(n (n + m)) for both and ``m`` points, where a fresh elimination and
+    its products cost O(n^2 (n + m)).
     """
-    d = dual[0]
-    y = [row[w] for row in products]
     s = 1 if y[r] > 0 else -1
     e = s * y[r]
-
-    def pivot(rows: Matrix) -> Matrix:
-        dr = rows[r]
-        out = [
-            dk if not yk and e == d else tuple((e * x - s * yk * z) // d for x, z in zip(dk, dr))
-            for k, (dk, yk) in enumerate(zip(rows, y))
-            if k != r
-        ]
-        out.insert(pos, dr if s > 0 else tuple(-z for z in dr))
-        return tuple(out)
-
-    return (e, pivot(dual[1])), pivot(products)
+    dr = rows[r]
+    out = [
+        dk if not yk and e == d else tuple((e * x - s * yk * z) // d for x, z in zip(dk, dr))
+        for k, (dk, yk) in enumerate(zip(rows, y))
+        if k != r
+    ]
+    out.insert(pos, dr if s > 0 else tuple(-z for z in dr))
+    return tuple(out)
 
 
 def _pivot_walk(
     verts: Sequence[Vector], n: int
 ) -> tuple[list[Facet], dict[tuple[int, ...], DualBasis]]:
-    """Every facet hyperplane of a full-dimensional hull, by crossing each ridge once.
+    """Every facet hyperplane of a full-dimensional hull, by crossing each open ridge once.
 
     A facet is (all points on its hyperplane, primitive outward normal,
     offset), so a non-simplicial facet or a repeated point keeps all of
-    its points together.  A facet of ``n`` points with offset ``c != 0``
-    has a dual basis ``(d, D)`` (see ``DualBasis``), and the walk holds
-    its products ``P = D.W`` with every point.  Row ``D_i`` vanishes on
-    the ridge opposite its vertex ``i`` and is positive at ``i``, so the
-    neighbouring facet across that ridge is the widest pivot of the
-    normal towards ``v = -D_i``, whose tilts ``v.w = -P_iw`` are read off
-    ``P``; the heights are ``c - u.w = c - c (sum_i P_iw) / d``, as
-    ``u = (c / d) (D_1 + ... + D_n)``.  So a facet costs O(n m) for ``m``
-    points.  A neighbour of ``n`` points off the origin gains a single
-    point, and gets ``D`` and ``P`` by an O(n (n + m)) exchange
-    (``_exchange``), run when it is popped, so that a pending facet
-    shares its parent's products instead of holding its own.  A fresh
-    elimination (``dual_basis`` of the facet's columns) is needed only
-    for the first facet and for a facet reached from a non-simplicial or
-    origin facet, so once per walk on a smooth input.  Any other facet takes its ridges from
-    the same walk one dimension down (``_lifted_ridges``) and its tilts
-    from ``v.w`` directly.  In dimension 1 the facets are the least and
-    the largest point, each with its copies.  Returns the facets in index
-    order, and the dual basis of each facet that has one.
+    its points together.  A facet of ``n`` points registers its ``n``
+    drop-one ridges when it is found (the first facet too); a ridge is
+    closed once both of its facets are known, or once it has been
+    crossed, and a closed ridge is never pivoted.  So on a simplicial
+    hull every pivot finds a new facet: ``F - 1`` pivots for ``F``
+    facets, not ``F n / 2``.  A facet of ``n`` points with offset
+    ``c != 0`` has a dual basis ``(d, D)`` (see ``DualBasis``), and while
+    it has an open ridge the walk also holds its products ``P = D.W``
+    with every point.  Row ``D_i`` vanishes on the ridge opposite its
+    vertex ``i`` and is positive at ``i``, so the neighbouring facet
+    across that ridge is the widest pivot of the normal towards
+    ``v = -D_i``, whose tilts ``v.w = -P_iw`` are read off ``P``; the
+    heights are ``c - u.w = c - c (sum_i P_iw) / d``, as
+    ``u = (c / d) (D_1 + ... + D_n)``.  So a facet costs O(n m) for
+    ``m`` points.  A neighbour of ``n`` points off the origin gains a
+    single point, and gets ``D``, and ``P`` if it has an open ridge, by
+    an O(n (n + m)) exchange (``_exchange``), run when it is popped, so
+    that a pending facet shares its parent's products instead of holding
+    its own.  A fresh elimination (``dual_basis`` of the facet's columns)
+    is needed only for the first facet and for a facet reached from a
+    non-simplicial or origin facet, so once per walk on a smooth input.
+    Any other facet takes its ridges from the same walk one dimension
+    down (``_lifted_ridges``) and its tilts from ``v.w`` directly; it
+    skips only ridges already crossed, so on a non-simplicial hull a
+    pivot may land on a facet already known.  In dimension 1 the facets
+    are the least and the largest point, each with its copies.  Returns
+    the facets in index order, and the dual basis of each facet that has
+    one.
     """
     if n == 1:
         xs = [x for x, in verts]
@@ -208,54 +212,74 @@ def _pivot_walk(
         return facets, {
             idx: dual_basis([verts[idx[0]]]) for idx, _, c in facets if len(idx) == 1 and c
         }
-    first = _first_facet(verts, n)
-    first_mask = sum(1 << i for i in first[0])
-    found = {first_mask: first}
+    found: dict[int, Facet] = {}
     duals: dict[tuple[int, ...], DualBasis] = {}
-    crossed: set[int] = set()
+    registered: set[int] = set()  # ridges of just one known facet of n points
+    closed: set[int] = set()
     # each pending facet holds the arguments of its exchange, or None
-    todo = [(first_mask, first, None)]
+    todo: list[tuple[int, Facet, tuple | None]] = []
+
+    def add(mask: int, facet: Facet, step: tuple | None) -> None:
+        found[mask] = facet
+        if len(facet[0]) == n:
+            for i in facet[0]:
+                ridge = mask & ~(1 << i)
+                if ridge in registered:
+                    registered.remove(ridge)
+                    closed.add(ridge)
+                else:
+                    registered.add(ridge)
+        todo.append((mask, facet, step))
+
+    first = _first_facet(verts, n)
+    add(sum(1 << i for i in first[0]), first, None)
     while todo:
         mask, (idx, u, c), step = todo.pop()
-        if step is not None:
-            dual, products = _exchange(*step)
-        elif len(idx) == n and c:
-            dual = dual_basis(list(zip(*(verts[i] for i in idx))))
-            products = tuple(tuple(_dot(row, vert) for vert in verts) for row in dual[1])
-        else:
-            dual = None
-        if dual is not None:
+        if len(idx) == n and c:
+            open_ridges = [
+                (r, ridge) for r, i in enumerate(idx) if (ridge := mask & ~(1 << i)) not in closed
+            ]
+            if step is None:
+                dual = dual_basis(list(zip(*(verts[i] for i in idx))))
+                if open_ridges:
+                    products = tuple(tuple(_dot(row, vert) for vert in verts) for row in dual[1])
+            else:
+                (d, parent_rows), parent_products, r, w, pos = step
+                y = [row[w] for row in parent_products]
+                dual = (abs(y[r]), _exchange(parent_rows, y, r, pos, d))
+                if open_ridges:
+                    products = _exchange(parent_products, y, r, pos, d)
             duals[idx] = dual
+            if not open_ridges:
+                continue
             d, rows = dual
             heights = [c - c * t // d for t in map(sum, zip(*products))]
-            # v and the tilts are built only for ridges not crossed yet
             ridges = (
                 (ridge, [-x for x in rows[r]], 0, [-x for x in products[r]], r)
-                for r, i in enumerate(idx)
-                if (ridge := mask & ~(1 << i)) not in crossed
+                for r, ridge in open_ridges
             )
         else:
+            dual = None
             heights = [c - _dot(u, vert) for vert in verts]
             ridges = (
                 (ridge, v, delta, [_dot(v, vert) - delta for vert in verts], None)
                 for ridge, v, delta in _lifted_ridges(verts, n, idx, u)
-                if ridge not in crossed
+                if ridge not in closed
             )
         below = [(w, a) for w, a in enumerate(heights) if not mask >> w & 1]
         for ridge, v, delta, tilts, r in ridges:
-            crossed.add(ridge)
+            closed.add(ridge)
             normal, offset, touching = _widest_pivot(u, c, v, delta, below, tilts)
             new_mask = ridge
             for w in touching:
                 new_mask |= 1 << w
             if new_mask not in found:
                 new_idx = tuple(sorted([w for w in idx if ridge >> w & 1] + touching))
-                found[new_mask] = facet = (new_idx, normal, offset)
                 step = None
                 if dual is not None and len(touching) == 1 and offset:
                     w = touching[0]
                     step = (dual, products, r, w, new_idx.index(w))
-                todo.append((new_mask, facet, step))
+                add(new_mask, (new_idx, normal, offset), step)
     return sorted(found.values()), duals
 
 
@@ -348,10 +372,14 @@ class FanoPolytope:
         Each facet is (indices of all points on the hyperplane, primitive
         outward normal, offset), in index order.  Only this module reads
         the pair: ``_shape``, ``validate_smooth_fano`` and ``face_lattice``
-        derive everything else from it.  A facet of ``n`` points off the
-        origin costs O(n m) for its ridges, read off its dual basis's
-        products with the ``m`` points, and an O(n (n + m)) exchange for
-        both; any other facet is walked one dimension down (``_pivot_walk``).
+        derive everything else from it.  The walk (``_pivot_walk``) pivots
+        only across open ridges, ``F - 1`` times on a simplicial hull of
+        ``F`` facets.  A facet of ``n`` points off the origin costs an
+        O(n (n + m)) exchange for its dual basis and, while it has an open
+        ridge, for its products with the ``m`` points, off which it reads
+        those ridges' pivots in O(n m); a facet with no open ridge takes
+        the dual basis alone.  Any other facet is walked one dimension
+        down.
         """
         return _pivot_walk(self.vertices, self.dim)
 

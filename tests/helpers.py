@@ -11,7 +11,8 @@ hyperplane for the facets of any hull, a scan of every facet basis in
 every order for the normal form, the link and cones of a star read off
 the maximal cones, with a rank test that a star quotient's rays are a
 linear image of the link, Gaussian elimination over ``Fraction`` for
-ranks, determinants and inverses, and elementary-matrix products for
+ranks, determinants and inverses, a scan of every cone solved over
+``Fraction`` for point location, and elementary-matrix products for
 random unimodular maps.  Nothing here reads the library's face data
 (its incidence masks, ``face_set`` or ``all_faces``); only
 ``fan.max_cones`` and ``fan.generators``, from which the face walk
@@ -235,6 +236,35 @@ def inverse_over_q(m):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return [row[n:] for row in rows]
+
+
+@cache
+def cone_inverses_over_q(fan):
+    """The inverse of each maximal cone's matrix of generators, over ``Fraction``."""
+    return tuple(
+        inverse_over_q(list(zip(*(fan.generators[i] for i in cone)))) for cone in fan.max_cones
+    )
+
+
+def scan_minimal_cone(fan, point):
+    """``(support, coefficients)`` of the minimal cone containing ``point``,
+    by solving every maximal cone in order over ``Fraction``; None when no
+    cone contains it.  Reads the generators and the maximal cones, never
+    the inverses the fan carries.
+    """
+    if not any(point):
+        return (), ()
+    for cone, inverse in zip(fan.max_cones, cone_inverses_over_q(fan)):
+        coords = []
+        for row in inverse:
+            x = sum(a * b for a, b in zip(row, point))
+            if x < 0:
+                break
+            coords.append(x)
+        else:
+            support = tuple(i for i, x in zip(cone, coords) if x > 0)
+            return support, tuple(x for x in coords if x > 0)
+    return None
 
 
 def brute_force_normal_form(p):

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
 
+from fanorank import construct
+from fanorank import fan as fan_module
 from fanorank.fan import BadIndexError, Fan, FanNotCompleteError, NotAConeError, NotAFanError
 from fanorank.lattice import determinant, mat_vec, unimodular_inverse
 from fanorank.polytope import FanoPolytope, free_sum, hexagon, simplex
@@ -10,6 +13,7 @@ from helpers import (
     NON_PRODUCTS,
     is_quotient_image,
     rays_and_two_cones,
+    scan_minimal_cone,
     star_quotient_oracle,
 )
 
@@ -85,6 +89,39 @@ class TestPointLocation:
                 assert all(a > 0 for a in loc.coefficients)
                 assert fan.is_cone(loc.support)
 
+    def test_walk_matches_scan_oracle(self, sweep_fans):
+        """The walk finds what a scan of every cone over ``Fraction`` finds, on
+        seeded lattice points of the corpus fans, the non-products and their
+        star quotients along every ray."""
+        rng = random.Random(12)
+        for name, _, fan in sweep_fans:
+            fans = [(name, fan, 50)]
+            fans += [((name, v), fan.star_quotient((v,))[0], 10) for v in range(len(fan.generators))]
+            for where, f, count in fans:
+                for _ in range(count):
+                    pt = tuple(rng.randint(-6, 6) for _ in range(f.dim))
+                    loc = f.minimal_cone_containing(pt)
+                    assert (loc.support, loc.coefficients) == scan_minimal_cone(f, pt), (where, pt)
+
+    def test_walk_is_monotone_on_a_face_fan(self, monkeypatch):
+        """On hexagon^4 (1296 cones) the walk reaches each point's cone with
+        no scan: a crossing moves one hexagon factor one cone towards the
+        point, and no factor needs more than 3, so at most 13 cones are solved."""
+        fan = fan_of(construct("product(hexagon,hexagon,hexagon,hexagon)"))
+        solved = []
+
+        def counted(m, v):
+            solved.append(v)
+            return mat_vec(m, v)
+
+        monkeypatch.setattr(fan_module, "mat_vec", counted)
+        rng = random.Random(13)
+        for _ in range(300):
+            pt = tuple(rng.randint(-9, 9) for _ in range(fan.dim))
+            solved.clear()
+            fan.minimal_cone_containing(pt)
+            assert len(solved) <= 13, (pt, len(solved))
+
     def test_face_fan_inverses_come_from_the_walk(self, corpus):
         """Every cone's pre-filled inverse is the face lattice's, and the cone's
         own integer inverse."""
@@ -108,8 +145,10 @@ class TestPointLocation:
         ]
         carried = [ci for ci, inverse in enumerate(p.face_lattice.inverses) if inverse is not None]
         assert carried == sorted(fan._inverse_cache) == unimodular == [0, 2]
+        # (0, -1) = ((1, 0) + (-1, -2)) / 2 lies inside the one non-unimodular
+        # cone, so every search order has to invert it
         with pytest.raises(ValueError, match="not unimodular"):
-            fan.minimal_cone_containing((-1, -1))
+            fan.minimal_cone_containing((0, -1))
 
     def test_hand_built_fan_inverts_lazily(self):
         h = fan_of(hexagon())
@@ -119,11 +158,24 @@ class TestPointLocation:
         assert fan._inverse_cache == {ci: h._inverse_cache[ci] for ci in fan._inverse_cache}
 
     def test_incomplete_fan_detected(self):
-        # drop one maximal cone from the hexagon fan
-        h = fan_of(hexagon())
-        broken = Fan(h.dim, h.generators, h.max_cones[:-1])
-        with pytest.raises(FanNotCompleteError):
-            broken.minimal_cone_containing((-1, -2))
+        """With any one maximal cone dropped from the hexagon and blow-up fans,
+        every point of a box is located as the scan oracle locates it: where
+        the walk meets the gap it scans the cones it has not visited, and it
+        raises only where no cone holds the point."""
+        blowup = FanoPolytope(*NON_PRODUCTS["P^3 blown up at a point"])
+        for p in (hexagon(), blowup):
+            whole = fan_of(p)
+            for drop in range(len(whole.max_cones)):
+                cones = whole.max_cones[:drop] + whole.max_cones[drop + 1 :]
+                fan = Fan(whole.dim, whole.generators, cones)
+                for pt in itertools.product(range(-3, 4), repeat=fan.dim):
+                    expected = scan_minimal_cone(fan, pt)
+                    if expected is None:
+                        with pytest.raises(FanNotCompleteError):
+                            fan.minimal_cone_containing(pt)
+                    else:
+                        loc = fan.minimal_cone_containing(pt)
+                        assert (loc.support, loc.coefficients) == expected, (drop, pt)
 
 
 class TestSmoothness:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 
 import pytest
 
@@ -300,11 +301,21 @@ def assert_dual_bases_exact(p):
 
 @pytest.fixture
 def carried_products(monkeypatch):
-    """Require every exchange to take and give products ``P`` with ``P_iw = D_i.w``
-    over the points of the walk it runs in, nested walks included; lists the
-    ``d`` each exchange divides by."""
+    """Check every exchange over the points of the walk it runs in, nested
+    walks included.  ``divisors`` lists the ``d`` each exchange of a dual
+    basis divides by, and ``products`` counts the exchanges of products.
+
+    ``_exchange`` pivots the rows of ``D`` (``n`` wide) or of the products
+    ``P = D.W`` (one column per point).  An exchange of ``D`` must pivot on
+    a column ``y`` of ``D.W`` and give ``D.B = |y_r| I``, where ``B`` is the
+    old facet (the points ``D`` maps to ``d`` times a unit vector) with the
+    point of ``y`` in place of column ``r``, at ``pos``.  A facet with no
+    open ridge stops there; otherwise an exchange of its products follows,
+    on the same ``y``, and must take and give ``P_iw = D_i.w``.
+    """
     walk, exchange = polytope._pivot_walk, polytope._exchange
-    points, divisors = [], []
+    points, last = [], {}
+    seen = SimpleNamespace(divisors=[], products=0)
 
     def recorded_walk(verts, n):
         points.append(verts)
@@ -313,18 +324,31 @@ def carried_products(monkeypatch):
         finally:
             points.pop()
 
-    def checked_exchange(dual, products, *args):
-        out = exchange(dual, products, *args)
-        for (_, rows), prods in ((dual, products), out):
-            assert prods == tuple(
-                tuple(sum(x * y for x, y in zip(row, w)) for w in points[-1]) for row in rows
-            ), (points[-1], rows)
-        divisors.append(dual[0])
+    def products(rows):
+        return tuple(tuple(sum(x * y for x, y in zip(row, w)) for w in points[-1]) for row in rows)
+
+    def checked_exchange(rows, y, r, pos, d):
+        out = exchange(rows, y, r, pos, d)
+        pts = points[-1]
+        if len(rows[0]) == len(pts):
+            assert last["y"] is y, y
+            assert rows == products(last["in"]) and out == products(last["out"]), (pts, rows)
+            seen.products += 1
+            return out
+        n = len(rows)
+        cols = list(zip(*products(rows)))
+        basis = [pts[cols.index(tuple(d * (i == k) for i in range(n)))] for k in range(n)]
+        facet = basis[:r] + basis[r + 1 :]
+        facet.insert(pos, pts[cols.index(tuple(y))])
+        got = [[sum(x * z for x, z in zip(row, w)) for w in facet] for row in out]
+        assert got == [[abs(y[r]) * (i == j) for j in range(n)] for i in range(n)], (pts, rows)
+        last.update({"y": y, "in": rows, "out": out})
+        seen.divisors.append(d)
         return out
 
     monkeypatch.setattr(polytope, "_pivot_walk", recorded_walk)
     monkeypatch.setattr(polytope, "_exchange", checked_exchange)
-    return divisors
+    return seen
 
 
 def random_point_set(rng):
@@ -344,7 +368,10 @@ class TestPivotAgainstScan:
             assert_walk_matches_oracle(p)
         # one fresh elimination per walk; dimension 1 has no walk
         walked = sum(len(p._hull[0]) - 1 for p in copies if p.dim > 1)
-        assert len(carried_products) == walked, (len(carried_products), walked)
+        exchanged = len(carried_products.divisors)
+        assert exchanged == walked, (exchanged, walked)
+        # facets whose ridges are all closed when popped take no products
+        assert 0 < carried_products.products < exchanged, carried_products.products
 
     @pytest.mark.parametrize(
         "spec", ["product(hexagon,hexagon,hexagon)", "product(simplex:2,hexagon,hexagon)"]
@@ -361,7 +388,7 @@ class TestPivotAgainstScan:
         p = FanoPolytope(dim, verts, name)
         assert validate_smooth_fano(p).passed
         assert_walk_matches_oracle(p)
-        assert carried_products
+        assert carried_products.divisors
 
     @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
     def test_bad_input_reports_unchanged(self, name):
@@ -385,5 +412,44 @@ class TestPivotAgainstScan:
         # the sample must reach the walk one dimension down, repeated points
         # and dual-basis exchanges that divide by d > 1
         assert non_simplicial > 150 and repeated > 30, (non_simplicial, repeated)
-        divided = sum(d > 1 for d in carried_products)
+        divided = sum(d > 1 for d in carried_products.divisors)
         assert divided > 1000, divided
+
+
+@pytest.fixture
+def walk_pivots(monkeypatch):
+    """Counts the widest pivots of the facet walk, leaving out those that
+    ``_first_facet`` takes to reach the first facet."""
+    pivot, first = polytope._widest_pivot, polytope._first_facet
+    count = SimpleNamespace(pivots=0)
+
+    def counted_pivot(*args):
+        count.pivots += 1
+        return pivot(*args)
+
+    def uncounted_first(*args):
+        before = count.pivots
+        try:
+            return first(*args)
+        finally:
+            count.pivots = before
+
+    monkeypatch.setattr(polytope, "_widest_pivot", counted_pivot)
+    monkeypatch.setattr(polytope, "_first_facet", uncounted_first)
+    return count
+
+
+def test_simplicial_walk_pivots_only_toward_new_facets(walk_pivots):
+    """On a simplicial hull every pivot finds a facet not yet known, so the
+    walk takes ``facets - 1`` of them, where crossing every ridge would take
+    ``facets * n / 2``."""
+    rng = random.Random(12)
+    hexagon3 = construct("product(hexagon,hexagon,hexagon)")
+    hulls = [transformed_copy(hexagon3, random_unimodular(6, rng), rng) for _ in range(5)]
+    hulls.append(simplex(13))
+    hulls += [FanoPolytope(dim, verts, name) for name, (dim, verts) in NON_PRODUCTS.items()]
+    for p in hulls:
+        before = walk_pivots.pivots
+        facets = p._hull[0]
+        assert all(len(pts) == p.dim for pts, _, _ in facets), p.name
+        assert walk_pivots.pivots - before == len(facets) - 1, p.name
