@@ -10,6 +10,7 @@ between threads.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -30,10 +31,7 @@ class InternalInconsistencyError(RuntimeError):
 
 def content(v: Sequence[int]) -> int:
     """Gcd of the entries of ``v`` (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g
+    return math.gcd(*v)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -46,16 +44,6 @@ def is_primitive(v: Sequence[int]) -> bool:
     if g == 0:
         raise ZeroVectorError("the zero vector is neither primitive nor imprimitive")
     return g == 1
-
-
-def primitive_part(v: Sequence[int]) -> Vector:
-    """``v`` divided by the gcd of its entries."""
-    g = content(v)
-    if g == 0:
-        raise ZeroVectorError("the zero vector has no primitive part")
-    if g == 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
 
 
 def int_vector(v: Iterable[int], what: str) -> Vector:
@@ -78,7 +66,7 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
@@ -148,58 +136,6 @@ def reduced_echelon(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[i
         pivots.append(c)
         prev = p
     return rows, pivots
-
-
-def kernel_basis(m: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
-    """Integer basis of the rational kernel of ``m``, one vector per free column.
-
-    ``ncols`` gives the width, so a matrix without rows has the standard
-    basis as its kernel.
-    """
-    rows, pivots = reduced_echelon(m)
-    d = rows[0][pivots[0]] if pivots else 1
-    out = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = [0] * ncols
-        x[f] = d
-        for r, c in enumerate(pivots):
-            x[c] = -rows[r][f]
-        out.append(tuple(x))
-    return out
-
-
-def matrix_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free forward elimination.
-
-    Bareiss steps on the rows below each pivot only, with no clearing
-    above it, so every division by the previous pivot is exact.  A tall
-    matrix is eliminated as its transpose, which has the same rank and
-    fewer rows to clear.
-    """
-    rows = [list(r) for r in m]
-    if rows and len(rows) > len(rows[0]):
-        rows = [list(col) for col in zip(*rows)]
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        sel = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        prow = rows[rank]
-        p = prow[c]
-        for i in range(rank + 1, len(rows)):
-            q = rows[i][c]
-            if q:
-                rows[i] = [(p * x - q * y) // prev for x, y in zip(rows[i], prow)]
-            elif p != prev:
-                rows[i] = [p * x // prev for x in rows[i]]
-        prev = p
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def is_unimodular_basis(vectors: Iterable[Sequence[int]]) -> bool:

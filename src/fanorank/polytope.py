@@ -9,19 +9,20 @@ side of that dictionary: facet enumeration by exact ridge pivoting
 conditions, a canonical form for unimodular-equivalence tests, and the
 standard constructions (simplices, the hexagon, free sums).  The walk
 pivots only across ridges whose second facet is not known yet, so a
-simplicial hull of ``F`` facets takes ``F - 1`` pivots.  It finishes
-every full-dimensional input: a facet that holds more than ``n``
-points, or whose hyperplane passes through the origin, has its ridges
-found by the same walk one dimension down, so the validation report's
-evidence against simpliciality comes from the facets it found.
+simplicial hull of ``F`` facets takes ``F - 1`` pivots, and no pivot
+runs an elimination; a flat input ends it with its affine rank.  It
+finishes every full-dimensional input: a facet that holds more than
+``n`` points, or whose hyperplane passes through the origin, has its
+ridges found by the same walk one dimension down, so the validation
+report's evidence against simpliciality comes from the facets it found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from operator import itemgetter, mul
+from itertools import permutations, repeat
+from operator import floordiv, itemgetter, mul, neg, sub
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -32,10 +33,9 @@ from .lattice import (
     content,
     determinant,  # noqa: F401  (the benchmark's traced run wraps polytope.determinant)
     dual_basis,
+    identity_matrix,
     int_vector,
-    kernel_basis,
     mat_vec,
-    matrix_rank,
     reduced_echelon,
     unimodular_inverse,  # noqa: F401  (likewise wrapped by the benchmark's traced run)
 )
@@ -98,23 +98,48 @@ def _first_facet(verts: Sequence[Vector], n: int) -> Facet:
     a direction that is constant on that face, so it keeps touching only
     points of one face and gains at least one point off the face's affine
     hull.  It stops when the touched points span a hyperplane.
+
+    It carries a basis ``K`` of the directions constant on the face (``u``
+    in their span), each row primitive and held with its products with
+    every point.  A point joining the face cuts ``K`` by one fraction-free
+    step, and a pivot reads its tilts ``t`` off a row other than ``+-u``
+    and updates the heights ``h = c - u.w`` in O(m) as ``(b h - a t) / g``,
+    so no pivot runs an elimination.  When no point is off the face, the
+    points are flat, of affine rank ``n - len(K)``: NotFanoShapeError.
     """
     top = max(verts)
     big = 2 * max(abs(x) for vert in verts for x in vert) + 1
     u = tuple(big ** (n - 1 - k) for k in range(n))
     c = _dot(u, top)
-    face = [w for w, vert in enumerate(verts) if vert == top]
+    heights = [c - _dot(u, vert) for vert in verts]
+    base = heights.index(0)
+    kernel = list(zip(identity_matrix(n), zip(*verts)))
     while True:
-        base = verts[face[0]]
-        kernel = kernel_basis([[a - b for a, b in zip(verts[i], base)] for i in face[1:]], n)
+        below = [(w, h) for w, h in enumerate(heights) if h]
+        if not below:
+            raise NotFanoShapeError(f"affine rank {n - len(kernel)} < {n}")
         if len(kernel) == 1:
-            return tuple(sorted(face)), u, c
-        v = next(x for x in kernel if matrix_rank((u, x)) == 2)
-        below = [(w, c - _dot(u, vert)) for w, vert in enumerate(verts) if w not in face]
-        delta = _dot(v, base)
-        tilts = [_dot(v, vert) - delta for vert in verts]
-        u, c, touching = _widest_pivot(u, c, v, delta, below, tilts)
-        face += touching
+            return tuple(w for w, h in enumerate(heights) if not h), u, c
+        v, products = next((v, p) for v, p in kernel if u not in (v, tuple(map(neg, v))))
+        delta = products[base]
+        tilts = [t - delta for t in products]
+        new_u, c, touching = _widest_pivot(u, c, v, delta, below, tilts)
+        a, b = heights[touching[0]], tilts[touching[0]]
+        g = next((b * x + a * y) // z for x, y, z in zip(u, v, new_u) if z)
+        heights = [(b * h - a * t) // g for h, t in zip(heights, tilts)]
+        u = new_u
+        for w in touching:
+            cut = [p[w] - p[base] for _, p in kernel]
+            j = next((k for k, s in enumerate(cut) if s), None)
+            if j is None:
+                continue
+            (vj, pj), sj = kernel.pop(j), cut.pop(j)
+            for k, (s, (vk, pk)) in enumerate(zip(cut, kernel)):
+                if s:
+                    vk = list(map(sub, map(sj.__mul__, vk), map(s.__mul__, vj)))
+                    pk = map(sub, map(sj.__mul__, pk), map(s.__mul__, pj))
+                    div = repeat(content(vk))
+                    kernel[k] = tuple(map(floordiv, vk, div)), tuple(map(floordiv, pk, div))
 
 
 def _lifted_ridges(
@@ -134,9 +159,9 @@ def _lifted_ridges(
     pts = [verts[i][:j] + verts[i][j + 1 :] for i in idx]
     total = [sum(col) for col in zip(*pts)]
     image = [tuple(len(pts) * x - t for x, t in zip(p, total)) for p in pts]
-    for sub, w, _ in _pivot_walk(image, n - 1)[0]:
+    for ridge, w, _ in _pivot_walk(image, n - 1)[0]:
         v = w[:j] + (0,) + w[j:]
-        yield sum(1 << idx[s] for s in sub), v, _dot(v, verts[idx[sub[0]]])
+        yield sum(1 << idx[s] for s in ridge), v, _dot(v, verts[idx[ridge[0]]])
 
 
 def _exchange(rows: Matrix, y: Sequence[int], r: int, pos: int, d: int) -> Matrix:
@@ -151,19 +176,26 @@ def _exchange(rows: Matrix, y: Sequence[int], r: int, pos: int, d: int) -> Matri
     identity; every row is negated when ``y_r < 0``, so that ``d`` stays
     positive.  ``D`` and ``P`` take the same step, in two calls, so a
     facet that needs no products takes only the first.  A row with
-    ``y_k = 0`` and an unchanged ``d`` is shared, not copied.  Costs
-    O(n (n + m)) for both and ``m`` points, where a fresh elimination and
-    its products cost O(n^2 (n + m)).
+    ``y_k = 0`` and an unchanged ``d`` is shared, not copied.  Each row
+    is a pipeline of C-level ``map`` calls (the bound products, ``sub``
+    and ``floordiv``), with no multiplication when ``|y_r| = 1`` and no
+    division when ``d = 1``, as on every facet of a smooth polytope; every
+    step stays exact.  Costs O(n (n + m)) for both and ``m`` points, where
+    a fresh elimination and its products cost O(n^2 (n + m)).
     """
     s = 1 if y[r] > 0 else -1
     e = s * y[r]
     dr = rows[r]
-    out = [
-        dk if not yk and e == d else tuple((e * x - s * yk * z) // d for x, z in zip(dk, dr))
-        for k, (dk, yk) in enumerate(zip(rows, y))
-        if k != r
-    ]
-    out.insert(pos, dr if s > 0 else tuple(-z for z in dr))
+    out = []
+    for dk, yk in zip(rows[:r] + rows[r + 1 :], y[:r] + y[r + 1 :]):
+        if not yk and e == d:
+            out.append(dk)
+            continue
+        row = dk if e == 1 else map(e.__mul__, dk)
+        if yk:
+            row = map(sub, row, map((s * yk).__mul__, dr))
+        out.append(tuple(row if d == 1 else map(floordiv, row, repeat(d))))
+    out.insert(pos, dr if s > 0 else tuple(map(neg, dr)))
     return tuple(out)
 
 
@@ -201,11 +233,13 @@ def _pivot_walk(
     pivot may land on a facet already known.  In dimension 1 the facets
     are the least and the largest point, each with its copies.  Returns
     the facets in index order, and the dual basis of each facet that has
-    one.
+    one.  Flat points raise NotFanoShapeError with their affine rank.
     """
     if n == 1:
         xs = [x for x, in verts]
         lo, hi = min(xs), max(xs)
+        if lo == hi:
+            raise NotFanoShapeError("affine rank 0 < 1")
         top = tuple(w for w, x in enumerate(xs) if x == hi)
         bottom = tuple(w for w, x in enumerate(xs) if x == lo)
         facets = sorted([(top, (1,), hi), (bottom, (-1,), -lo)])
@@ -367,19 +401,13 @@ class FanoPolytope:
     @cached_property
     def _hull(self) -> tuple[list[Facet], dict[tuple[int, ...], DualBasis]]:
         """Every facet hyperplane of the full-dimensional hull, by exact ridge pivoting,
-        with the dual basis of each facet of ``n`` points off the origin.
+        with the dual basis of each facet of ``n`` points off the origin;
+        NotFanoShapeError, quoting the affine rank, on a flat vertex set.
 
         Each facet is (indices of all points on the hyperplane, primitive
         outward normal, offset), in index order.  Only this module reads
         the pair: ``_shape``, ``validate_smooth_fano`` and ``face_lattice``
-        derive everything else from it.  The walk (``_pivot_walk``) pivots
-        only across open ridges, ``F - 1`` times on a simplicial hull of
-        ``F`` facets.  A facet of ``n`` points off the origin costs an
-        O(n (n + m)) exchange for its dual basis and, while it has an open
-        ridge, for its products with the ``m`` points, off which it reads
-        those ridges' pivots in O(n m); a facet with no open ridge takes
-        the dual basis alone.  Any other facet is walked one dimension
-        down.
+        derive everything else from it.  ``_pivot_walk`` gives the costs.
         """
         return _pivot_walk(self.vertices, self.dim)
 
@@ -389,21 +417,22 @@ class FanoPolytope:
         origin_interior, simplicial and vertices_extremal.
 
         The one place they are decided: ``validate_smooth_fano`` quotes
-        them and ``face_lattice`` raises on the first that fails.  The
-        last three read the facet walk and are not evaluated on a hull
-        that is not full-dimensional.
+        them and ``face_lattice`` raises on the first that fails.  All
+        four read the facet walk, with no elimination of their own: the
+        first facet's search ends with the affine rank on a flat vertex
+        set (``_first_facet``), and then the last three are not evaluated.
         """
         n, verts = self.dim, self.vertices
-        rank = matrix_rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]])
-        if rank < n:
+        try:
+            hyperplanes = self._hull[0]
+        except NotFanoShapeError as flat:
             return (
-                _condition("full_dimensional", f"affine rank {rank} < {n}"),
+                _condition("full_dimensional", str(flat)),
                 *(
                     _condition(name, _NOT_FULL)
                     for name in ("origin_interior", "simplicial", "vertices_extremal")
                 ),
             )
-        hyperplanes = self._hull[0]
         low = min(c for _, _, c in hyperplanes)
         witness = min(
             (_least_basis(pts, verts) for pts, _, _ in hyperplanes if len(pts) > n),

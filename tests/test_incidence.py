@@ -9,7 +9,8 @@ the smooth Fano 3- and 4-folds that are not products; each is also
 checked with its first maximal cone removed, which breaks completeness
 and gives nonempty Reid violation lists.  ``primitive_collections`` is
 also checked against the face walk of ``helpers`` on these fans and on
-products of dimension 8 to 13 beyond the subset scan's reach, and against
+products of dimension 8 to 13 beyond the subset scan's reach (hexagon^4
+also in three seeded images with shuffled vertices), and against
 the subset scan on fans with a random subset of their cones removed.
 """
 
@@ -83,6 +84,13 @@ def test_primitive_collections_match_face_walk(fans):
     for spec in LARGE_SPECS:
         fan = Fan.from_polytope(construct(spec))
         assert primitive_collections(fan) == face_walk_primitive_collections(fan), spec
+    # the search relabels rays and cones, so vertex order must not change its answer
+    hexagon4 = construct(LARGE_SPECS[0])
+    rng = random.Random(5)
+    for k in range(3):
+        image = transformed_copy(hexagon4, random_unimodular(hexagon4.dim, rng), rng)
+        fan = Fan.from_polytope(image)
+        assert primitive_collections(fan) == face_walk_primitive_collections(fan), k
 
 
 @given(st.data())

@@ -61,6 +61,22 @@ class TestFacets:
         with pytest.raises(NotFanoShapeError):
             flat.face_lattice
 
+    @pytest.mark.parametrize(
+        "verts, detail",
+        [
+            (((1, 0, 0), (0, 1, 0), (-1, -1, 0)), "affine rank 2 < 3"),
+            (((1, 1, 1), (2, 2, 2), (-1, -1, -1), (1, 1, 1)), "affine rank 1 < 3"),
+        ],
+        ids=["bad_flat", "collinear"],
+    )
+    def test_flat_input_ends_the_walk_with_its_rank(self, verts, detail):
+        # the first facet's pivots find no point off the face they touch
+        p = FanoPolytope(3, verts)
+        with pytest.raises(NotFanoShapeError, match=f"^{detail}$"):
+            p._hull
+        full = validate_smooth_fano(p).conditions[2]
+        assert (full.name, full.passed, full.detail) == ("full_dimensional", False, detail)
+
     def test_origin_not_interior_raises(self):
         shifted = FanoPolytope(2, ((1, 0), (0, 1), (1, 1)))
         with pytest.raises(NotFanoShapeError):
