@@ -4,13 +4,14 @@ Subcommands mirror the library surface: ``validate``, ``analyze``,
 ``check``, ``construct``, ``enumerate2d`` and ``batch``.  All output is
 JSON (or the polytope text format for the constructors) with stable key
 and array order, so runs over the same input are byte-identical.
-``batch`` still accepts ``--jobs K`` but ignores it: every command runs
-the polytopes one after another in input order.
+``validate``, ``analyze``, ``check`` and ``batch`` share one runner and
+give only their record shapes; it takes the polytopes one after another
+in input order (``batch --jobs K`` is accepted and ignored).
 
 Exit codes: 0 clean; 1 a polytope failed validation; 2 a theorem-level
 check failed, which indicates a bug rather than mathematics; 3 the input
 could not be parsed or read.  When several apply the most severe wins
-(3, then 2, then 1).
+(3, then 2, then 1).  Codes 2 and 1 are decided by ``exit_code`` alone.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from .bounds import analyze, check_casagrande, check_cfh, check_strong, check_weak
+from .bounds import BoundCheck, analyze, check_casagrande, check_cfh, check_strong, check_weak
 from .enum2d import enumerate_2d
 from .fan import Fan
 from .formats import (
     FamilySpecError,
     ParseError,
-    batch_exit_code,
     batch_json,
     construct,
     check_to_dict,
@@ -43,27 +44,33 @@ VALIDATION_EXIT = 1
 JOBS_HELP = "accepted for compatibility; has no effect"
 
 
-def _gather_files(paths: list[str]) -> list[Path]:
-    files: list[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.glob("*.poly")))
-        else:
-            files.append(path)
-    return files
+def exit_code(outcomes: Iterable[tuple[bool, Sequence[BoundCheck]]]) -> int:
+    """2 on any theorem-level violation, else 1 on any invalid polytope, else 0,
+    from each polytope's ``(valid, checks)``."""
+    outcomes = list(outcomes)
+    if any(c.is_theorem_violation for _, checks in outcomes for c in checks):
+        return THEOREM_EXIT
+    return 0 if all(valid for valid, _ in outcomes) else VALIDATION_EXIT
 
 
-def _parse_inputs(paths: list[str]) -> list[FanoPolytope] | None:
+def _run(paths: list[str], out: str | None, evaluate, render) -> int:
+    """Parse every input (a directory gives its ``*.poly`` files), ``evaluate``
+    each polytope to ``(item, valid, checks)``, emit ``render(items)`` and
+    return the exit code."""
     polytopes: list[FanoPolytope] = []
     failed = False
-    for path in _gather_files(paths):
-        try:
-            polytopes.extend(parse_path(path))
-        except (ParseError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            failed = True
-    return None if failed else polytopes
+    for given in map(Path, paths):
+        for path in sorted(given.glob("*.poly")) if given.is_dir() else [given]:
+            try:
+                polytopes.extend(parse_path(path))
+            except (ParseError, OSError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                failed = True
+    if failed:
+        return PARSE_EXIT
+    results = [evaluate(p) for p in polytopes]
+    _emit(render([item for item, _, _ in results]) + "\n", out)
+    return exit_code((valid, checks) for _, valid, checks in results)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -73,32 +80,25 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json(records: list) -> str:
+    return json.dumps(records, sort_keys=True, indent=2)
+
+
+def _analyzed(p: FanoPolytope):
+    report = analyze(p)
+    return report, report.valid, report.checks
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    polytopes = _parse_inputs(args.files)
-    if polytopes is None:
-        return PARSE_EXIT
-    records = []
-    failed = False
-    for p in polytopes:
+    def evaluate(p: FanoPolytope):
         report = validate_smooth_fano(p)
-        failed = failed or not report.passed
-        record = {"name": p.name}
-        record.update(validation_to_dict(report))
-        records.append(record)
-    _emit(json.dumps(records, sort_keys=True, indent=2) + "\n", args.out)
-    return VALIDATION_EXIT if failed else 0
+        return {"name": p.name, **validation_to_dict(report)}, report.passed, ()
+
+    return _run(args.files, args.out, evaluate, _json)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    polytopes = _parse_inputs(args.files)
-    if polytopes is None:
-        return PARSE_EXIT
-    reports = [analyze(p) for p in polytopes]
-    _emit(
-        json.dumps([report_to_dict(r) for r in reports], sort_keys=True, indent=2) + "\n",
-        args.out,
-    )
-    return batch_exit_code(reports)
+    return _run(args.files, args.out, _analyzed, lambda rs: _json(list(map(report_to_dict, rs))))
 
 
 _CHECKERS = {
@@ -110,26 +110,13 @@ _CHECKERS = {
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    polytopes = _parse_inputs(args.files)
-    if polytopes is None:
-        return PARSE_EXIT
-    records = []
-    code = 0
-    for p in polytopes:
-        report = validate_smooth_fano(p)
-        if not report.passed:
-            records.append({"name": p.name, "valid": False, "checks": []})
-            code = max(code, VALIDATION_EXIT)
-            continue
-        fan = Fan.from_polytope(p)
-        checks = _CHECKERS[args.which](fan)
-        if any(c.is_theorem_violation for c in checks):
-            code = THEOREM_EXIT
-        records.append(
-            {"name": p.name, "valid": True, "checks": [check_to_dict(c) for c in checks]}
-        )
-    _emit(json.dumps(records, sort_keys=True, indent=2) + "\n", args.out)
-    return code
+    def evaluate(p: FanoPolytope):
+        valid = validate_smooth_fano(p).passed
+        checks = _CHECKERS[args.which](Fan.from_polytope(p)) if valid else ()
+        record = {"name": p.name, "valid": valid, "checks": [check_to_dict(c) for c in checks]}
+        return record, valid, checks
+
+    return _run(args.files, args.out, evaluate, _json)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -152,12 +139,7 @@ def _cmd_enumerate2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    polytopes = _parse_inputs(args.paths)
-    if polytopes is None:
-        return PARSE_EXIT
-    reports = [analyze(p) for p in polytopes]
-    _emit(batch_json(reports) + "\n", args.out)
-    return batch_exit_code(reports)
+    return _run(args.paths, args.out, _analyzed, batch_json)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -106,12 +106,15 @@ class Fan:
 
         The library's one face representation: a ray set spans a cone iff
         the AND of its masks (every cone, for the empty set) is nonzero.
+        Each mask is built as a binary numeral (a leading 0, then cone ``c``
+        at ``top - c``): OR-ing in bits would copy a growing integer per cone.
         """
-        masks = [0] * len(self.generators)
+        top = len(self.max_cones)
+        digits = [bytearray(b"0") * (top + 1) for _ in self.generators]
         for c, cone in enumerate(self.max_cones):
             for v in cone:
-                masks[v] |= 1 << c
-        return tuple(masks)
+                digits[v][top - c] = 49  # ord("1")
+        return tuple(int(d, 2) for d in digits)
 
     @cached_property
     def full_mask(self) -> int:

@@ -10,7 +10,8 @@ The text format is line-based and hand-writable::
     end
 
 ``#`` starts a comment anywhere on a line, blank lines are ignored, and
-names must be unique within a file.  Family specs are the strings
+names must be unique within a file.  Integers are ASCII decimal
+numerals with an optional sign.  Family specs are the strings
 accepted by ``construct``: ``simplex:<n>``, ``hexagon``, and
 ``product(<spec>,<spec>,...)`` nested freely.  Reports serialize to JSON
 with sorted keys and deterministically ordered arrays so equal analyses
@@ -20,8 +21,9 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bounds import AnalysisReport, BoundCheck
 from .polytope import FanoPolytope, ValidationReport, free_sum, hexagon, simplex
@@ -45,6 +47,9 @@ class FamilySpecError(ValueError):
 
 
 # -- polytope text format -----------------------------------------------------
+
+# the numerals after a keyword; ``int`` alone would also take "1_0" and non-ASCII digits
+_NUMERALS = re.compile(r"(?:\s+[+-]?[0-9]+)*")
 
 
 def parse_polytopes(text: str, source: str = "<string>") -> list[FanoPolytope]:
@@ -72,17 +77,15 @@ def parse_polytopes(text: str, source: str = "<string>") -> list[FanoPolytope]:
         elif dim is None:
             if keyword != "dim" or len(parts) != 2:
                 raise ParseError("expected 'dim <n>'", source, lineno)
-            try:
-                dim = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad dimension {parts[1]!r}", source, lineno) from None
+            if not _NUMERALS.fullmatch(line, len("dim")):
+                raise ParseError(f"bad dimension {parts[1]!r}", source, lineno)
+            dim = int(parts[1])
             if dim < 1:
                 raise ParseError("dimension must be at least 1", source, lineno)
         elif keyword == "v":
-            try:
-                row = tuple(int(tok) for tok in parts[1:])
-            except ValueError:
-                raise ParseError(f"bad vertex line {line!r}", source, lineno) from None
+            if not _NUMERALS.fullmatch(line, len("v")):
+                raise ParseError(f"bad vertex line {line!r}", source, lineno)
+            row = tuple(map(int, parts[1:]))
             if len(row) != dim:
                 raise ShapeError(
                     f"vertex has {len(row)} coordinates, block dimension is {dim}",
@@ -260,13 +263,3 @@ def batch_to_dict(reports: Sequence[AnalysisReport]) -> dict:
 def batch_json(reports: Sequence[AnalysisReport]) -> str:
     return json.dumps(batch_to_dict(reports), sort_keys=True, indent=2)
 
-
-def batch_exit_code(reports: Iterable[AnalysisReport]) -> int:
-    """0 clean, 2 on any theorem-level violation, 1 on any validation failure."""
-    code = 0
-    for rep in reports:
-        if any(c.is_theorem_violation for c in rep.checks):
-            return 2
-        if not rep.valid:
-            code = 1
-    return code

@@ -70,34 +70,12 @@ def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the common pivot of ``reduced_echelon``, 0 short of full rank."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeMismatchError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        rk = a[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pk - aik * rk[j]) // prev
-            ai[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
+    rows, pivots = reduced_echelon(m)
+    return 0 if len(pivots) < n else rows[-1][-1] if n else 1
 
 
 def reduced_echelon(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -107,8 +85,9 @@ def reduced_echelon(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[i
     pivot value ``d`` in column ``pivots[r]``, every pivot column is zero
     in the other rows, and the rows past the rank are zero.  Every entry
     stays a minor of the input, so each division by the previous pivot is
-    exact (Bareiss) and ``d`` is, up to sign, the determinant of the
-    pivot block.
+    exact (Bareiss).  A row swap negates one of its rows, so ``d`` is
+    exactly ``det m`` for a square matrix of full rank and, up to sign,
+    the determinant of the pivot block otherwise.
     """
     rows = [list(r) for r in m]
     nrows = len(rows)
@@ -122,7 +101,8 @@ def reduced_echelon(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[i
         sel = next((i for i in range(r, nrows) if rows[i][c]), None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], [-x for x in rows[r]]
         prow = rows[r]
         p = prow[c]
         for i in range(nrows):
@@ -155,7 +135,7 @@ def dual_basis(m: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
     """``(d, D)`` with ``d = |det m|`` and ``D = d m^-1``, so ``D.m = d I``.
 
     One fraction-free Gauss-Jordan elimination takes ``[m | I]`` to
-    ``[e I | e m^-1]`` with ``e = +-det m``; the sign is then made
+    ``[e I | e m^-1]`` with ``e = det m``; the sign is then made
     positive.  Raises ValueError for a singular matrix.
     """
     n = len(m)

@@ -149,13 +149,14 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return list(map(int, map("".join, columns), repeat(2)))[::-1] if rows else [0] * width
 
 
+def _generator_sum(fan: Fan, idx: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(fan.generators[i][k] for i in idx) for k in range(fan.dim))
+
+
 def primitive_relation(fan: Fan, pc: Sequence[int]) -> PrimitiveRelation:
     """Primitive relation of a collection: locate its generator sum exactly."""
     idx = tuple(sorted(pc))
-    total = tuple(
-        sum(fan.generators[i][k] for i in idx) for k in range(fan.dim)
-    )
-    loc = fan.minimal_cone_containing(total)
+    loc = fan.minimal_cone_containing(_generator_sum(fan, idx))
     if set(loc.support) & set(idx):
         raise InternalInconsistencyError(
             f"collection {idx} meets its own relation cone {loc.support}"
@@ -169,12 +170,7 @@ def minimal_components(fan: Fan) -> tuple[MinimalComponent, ...]:
     """Primitive collections with zero generator sum, graded by codegree."""
     out = []
     for pc in primitive_collections(fan):
-        total = [0] * fan.dim
-        for i in pc:
-            g = fan.generators[i]
-            for k in range(fan.dim):
-                total[k] += g[k]
-        if not any(total):
+        if not any(_generator_sum(fan, pc)):
             k = len(pc)
             out.append(MinimalComponent(pc, k, fan.dim + 1 - k))
     return tuple(out)

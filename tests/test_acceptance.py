@@ -17,9 +17,9 @@ from fanorank.bounds import (
     analyze,
     cfh_rank_bound,
 )
-from fanorank.cli import main
+from fanorank.cli import exit_code, main
 from fanorank.fan import Fan
-from fanorank.formats import batch_exit_code, construct, polytopes_to_text
+from fanorank.formats import construct, polytopes_to_text
 from fanorank.mori import (
     count_pc_extensions,
     lift_zero_sum_collections,
@@ -87,7 +87,7 @@ def test_criterion_02_casagrande(corpus_fans, corpus_dir, capsys):
         "fake", 2, 7, 5, True, fake_validation, (), (),
         (BoundCheck("casagrande", None, 4, 5, False),),
     )
-    assert batch_exit_code([fake]) == 2
+    assert exit_code([(fake.valid, fake.checks)]) == 2
     _report("02 casagrande bound holds corpus-wide and violations exit nonzero")
 
 

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from fanorank.cli import main
+from fanorank import cli
+from fanorank.bounds import BoundCheck, analyze
+from fanorank.cli import exit_code, main
 from fanorank.formats import polytope_to_text, polytopes_to_text
 from fanorank.polytope import FanoPolytope, hexagon, simplex
 
@@ -80,6 +82,40 @@ class TestCheckCommand:
     def test_invalid_member_exits_one(self, capsys, invalid_file):
         code, out = run_main(capsys, "check", "--which", "weak", str(invalid_file))
         assert code == 1
+
+
+class TestRunner:
+    """Every command the shared runner serves, against outputs pinned before
+    the commands shared it: mixed.poly holds valid and invalid blocks."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["validate", "analyze"] + [f"check-{w}" for w in ("casagrande", "cfh", "strong", "weak")],
+    )
+    def test_mixed_inputs_byte_identical(self, capsys, command):
+        argv = command.replace("check-", "check --which ").split()
+        code = main([*argv, str(DATA / "mixed.poly")])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        assert captured.out.encode("utf-8") == (DATA / f"mixed.{command}.json").read_bytes()
+
+
+class TestExitCode:
+    def test_exit_codes(self):
+        good = [analyze(simplex(2)), analyze(hexagon())]
+        assert exit_code((r.valid, r.checks) for r in good) == 0
+        bad = good + [analyze(FanoPolytope(2, ((2, 0), (0, 1), (-1, -1)), "bad"))]
+        assert exit_code((r.valid, r.checks) for r in bad) == 1
+        violation = (BoundCheck("casagrande", None, 4, 5, False),)
+        assert exit_code([(False, ()), (True, violation)]) == 2
+        assert exit_code([(True, violation), (False, ())]) == 2
+
+    def test_check_violation_exits_two(self, capsys, monkeypatch, sample_file):
+        violation = (BoundCheck("casagrande", None, 4, 5, False),)
+        monkeypatch.setitem(cli._CHECKERS, "casagrande", lambda fan: violation)
+        code, out = run_main(capsys, "check", "--which", "casagrande", str(sample_file))
+        assert code == 2
+        assert [len(r["checks"]) for r in json.loads(out)] == [1, 1]
 
 
 class TestConstructCommand:

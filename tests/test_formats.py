@@ -7,7 +7,6 @@ from fanorank.formats import (
     FamilySpecError,
     ParseError,
     ShapeError,
-    batch_exit_code,
     batch_to_dict,
     construct,
     parse_polytopes,
@@ -44,6 +43,25 @@ class TestParse:
         with pytest.raises(ShapeError) as err:
             parse_polytopes(text)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("polytope p\ndim 0_2\nv 1 0\nend\n", 2),
+            ("polytope p\ndim ٢\nv 1 0\nend\n", 2),
+            ("polytope p\ndim 2\nv 1_0 0\nv 0 1\nv -1 -1\nend\n", 3),
+            ("polytope p\ndim 2\nv 1 0\nv ١ 1\nv -1 -1\nend\n", 4),
+        ],
+    )
+    def test_integers_are_ascii_numerals(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_polytopes(text)
+        assert err.value.line == line
+
+    def test_signed_numerals(self):
+        (p,) = parse_polytopes("polytope p\ndim +2\nv +1 0\nv 0 1\nv -1 -01\nend\n")
+        assert p.dim == 2
+        assert p.vertices == simplex(2).vertices
 
     def test_unknown_keyword(self):
         with pytest.raises(ParseError):
@@ -163,12 +181,6 @@ class TestReports:
 
 
 class TestBatchAggregation:
-    def test_exit_codes(self):
-        good = [analyze(simplex(2)), analyze(hexagon())]
-        assert batch_exit_code(good) == 0
-        bad = good + [analyze(FanoPolytope(2, ((2, 0), (0, 1), (-1, -1)), "bad"))]
-        assert batch_exit_code(bad) == 1
-
     def test_summary_counts(self):
         reports = [
             analyze(simplex(2)),

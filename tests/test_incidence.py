@@ -11,7 +11,8 @@ and gives nonempty Reid violation lists.  ``primitive_collections`` is
 also checked against the face walk of ``helpers`` on these fans and on
 products of dimension 8 to 13 beyond the subset scan's reach (hexagon^4
 also in three seeded images with shuffled vertices), and against
-the subset scan on fans with a random subset of their cones removed.
+the subset scan on fans with a random subset of their cones removed,
+or all of them.
 """
 
 import random
@@ -102,6 +103,13 @@ def test_primitive_collections_with_cones_dropped(fans, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(fan.max_cones), max_size=len(fan.max_cones)))
     f = Fan(fan.dim, fan.generators, tuple(c for c, k in zip(fan.max_cones, keep) if k))
     assert primitive_collections(f) == brute_force_primitive_collections(f), (name, keep)
+
+
+def test_every_cone_dropped(fans):
+    for name, fan in fans:
+        f = Fan(fan.dim, fan.generators, ())
+        assert f.incidence == (0,) * len(fan.generators), name
+        assert primitive_collections(f) == brute_force_primitive_collections(f) == (), name
 
 
 def test_is_cone(fans):
