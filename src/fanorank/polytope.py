@@ -486,13 +486,28 @@ class FanoPolytope:
         permutation of the vertices.  Every facet basis is mapped to the
         standard basis (in every ordering) and the lexicographically
         least sorted vertex matrix over all those coordinates wins.  Each
-        facet's inverse is the one ``face_lattice`` carries, so the cost
-        is (number of facets) * dim! sorts of the vertex images, fine at
-        desk scale.  Raises NotFanoShapeError unless the hull is
-        simplicial with the origin inside, and ValueError if a facet is
-        not unimodular.
+        facet's inverse is the one ``face_lattice`` carries.
+
+        Facets that an automorphism of the polytope maps onto each other
+        give the same keys, so only one of them is searched.  When facet
+        F's key under some order equals the best key so far and the best
+        came from another facet F_b, then ``A_F V = A_b V`` as sets, so
+        ``A_F^-1 A_b`` is a lattice automorphism taking F_b onto F: it is
+        read off as a vertex permutation by matching the two keys row by
+        row.  F stops there, and the automorphism merges the classes of
+        every facet and its image (union-find, each class rooted at its
+        least index); a facet whose class already holds an earlier facet
+        is skipped.  A facet that sets the best key never stops on its
+        own ties (those are its stabilizer), so it is searched in full.
+        The cost is ``dim!`` sorts of the vertex images for each facet
+        searched in full; a facet in the orbit of an earlier one takes
+        the sorts up to its first tie and then one pass over the facets,
+        which merges at least two classes.  Raises NotFanoShapeError
+        unless the hull is simplicial with the origin inside, and
+        ValueError if a facet is not unimodular.
         """
-        inverses = self.face_lattice.inverses
+        facets, inverses = self.face_lattice.facets, self.face_lattice.inverses
+        verts = self.vertices
         # itemgetter of one index returns a scalar, so dimension 1 keeps whole rows
         orders = (
             [itemgetter(*perm) for perm in permutations(range(self.dim))]
@@ -500,17 +515,43 @@ class FanoPolytope:
             else [tuple]
         )
         best = None
-        for binv in inverses:
+        root = None  # set up at the first tie between two facets
+        for k, binv in enumerate(inverses):
             if binv is None:
                 raise ValueError("matrix is not unimodular")
-            images = [mat_vec(binv, v) for v in self.vertices]
+            if root is not None and _find(root, k) != k:
+                continue
+            images = [mat_vec(binv, v) for v in verts]
             for order in orders:
                 key = sorted(map(order, images))
                 if best is None or key < best:
-                    best = key
+                    best, best_k, best_images, best_order = key, k, images, order
+                elif key == best and best_k != k:
+                    where = dict(zip(map(order, images), range(len(verts))))
+                    # vertex j and vertex perm[j] have the same row in the two keys
+                    perm = [where[row] for row in map(best_order, best_images)]
+                    if root is None:
+                        root = list(range(len(facets)))
+                        index = {f: i for i, f in enumerate(facets)}
+                    for i, f in enumerate(facets):
+                        _union(root, i, index[tuple(sorted(map(perm.__getitem__, f)))])
+                    break
         if best is None:
             raise InternalInconsistencyError("a validated polytope has no facets")
         return tuple(best)
+
+
+def _find(root: list[int], i: int) -> int:
+    """The least facet index in the class of ``i``, halving the path to it."""
+    while root[i] != i:
+        root[i] = i = root[root[i]]
+    return i
+
+
+def _union(root: list[int], a: int, b: int) -> None:
+    a, b = _find(root, a), _find(root, b)
+    if a != b:
+        root[max(a, b)] = min(a, b)
 
 
 def _least_basis(

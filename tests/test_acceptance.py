@@ -231,5 +231,17 @@ def test_criterion_14_normal_form_budget():
     form = q.normal_form()
     elapsed = time.perf_counter() - start
     assert form == p.normal_form()
+    assert elapsed < 1.0, f"normal form took {elapsed:.2f}s"
+    _report("14 normal form of a hexagon^3 image equals the hexagon^3 form, in under 1 s")
+
+
+def test_criterion_15_hexagon_power_four_normal_form():
+    p = construct("product(hexagon,hexagon,hexagon,hexagon)")
+    rng = random.Random(15)
+    q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
+    start = time.perf_counter()
+    form = q.normal_form()
+    elapsed = time.perf_counter() - start
+    assert form == p.normal_form()
     assert elapsed < 5.0, f"normal form took {elapsed:.2f}s"
-    _report("14 normal form of a hexagon^3 image equals the hexagon^3 form, in under 5 s")
+    _report("15 normal form of a hexagon^4 image equals the hexagon^4 form, in under 5 s")

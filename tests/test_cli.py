@@ -136,6 +136,13 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.count("polytope ") == 5
 
+    @pytest.mark.parametrize("box", ["2", "3"])
+    def test_classes_byte_identical(self, capsys, box):
+        # every box from radius 1 up finds the same five classes, printed the same
+        code, out = run_main(capsys, "enumerate2d", "--box", box)
+        assert code == 0
+        assert out.encode("utf-8") == (DATA / "enumerate2d-box2.poly").read_bytes()
+
     def test_box_below_one_exits_three(self, capsys):
         for box in ("0", "-2"):
             code = main(["enumerate2d", "--box", box])

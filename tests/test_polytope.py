@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
 
 from fanorank import construct, polytope
 from fanorank.bounds import analyze
+from fanorank.enum2d import enumerate_2d
 from fanorank.lattice import ShapeMismatchError, determinant
 from fanorank.polytope import (
     FanoPolytope,
@@ -206,10 +208,22 @@ class TestNormalForm:
                 assert q.normal_form() == nf
 
     def test_equals_oracle(self, corpus):
-        """Each member's form is the oracle's, and so is that of each of its seeded images."""
+        """Each member's form is the oracle's, and so is that of each of its seeded images.
+
+        Every corpus product has its facets in one orbit of its automorphisms,
+        so the members also include the free sums, up to dimension 5, of the
+        4- and 5-vertex polygon classes with simplex:1, simplex:2 and each
+        other, most of which have facets in more than one orbit.
+        """
         rng = random.Random(8)
         members = [p for _, p in corpus if p.dim <= 5]
         members += [FanoPolytope(dim, verts, name) for name, (dim, verts) in NON_PRODUCTS.items()]
+        polygons = [c for c in enumerate_2d(1) if len(c.vertices) in (4, 5)]
+        factors = polygons + [simplex(1), simplex(2)]
+        for size in (2, 3):
+            for combo in combinations_with_replacement(factors, size):
+                if combo[0] in polygons and sum(f.dim for f in combo) <= 5:
+                    members.append(reduce(free_sum, combo))
         # simplex:1: itemgetter of one index returns a scalar, not a row
         assert min(p.dim for p in members) == 1
         for p in members:
@@ -232,6 +246,8 @@ BAD_INPUTS = {
     "origin on a facet hyperplane": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0))),
     "origin outside": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
     "non-unimodular facet": (2, ((1, 0), (0, 1), (-1, -2))),
+    # normal_form finds an automorphism (facets 1 and 2 tie) before reaching facet 3
+    "non-unimodular facet after a tie": (2, ((-1, -1), (-1, 0), (0, -1), (0, 1), (2, 1))),
 }
 
 
@@ -243,7 +259,7 @@ BAD_INPUTS = {
 def test_normal_form_errors(name, dim, verts):
     # only a full-dimensional simplicial hull around the origin gets as far
     # as the facet inverses
-    error = ValueError if name == "non-unimodular facet" else NotFanoShapeError
+    error = ValueError if name.startswith("non-unimodular") else NotFanoShapeError
     with pytest.raises(ValueError) as info:
         FanoPolytope(dim, verts, name).normal_form()
     assert type(info.value) is error, name
@@ -254,7 +270,11 @@ SHAPE = ("full_dimensional", "origin_interior", "simplicial", "vertices_extremal
 
 @pytest.mark.parametrize(
     "name, dim, verts",
-    [(name, *BAD_INPUTS[name]) for name in sorted(BAD_INPUTS) if name != "non-unimodular facet"]
+    [
+        (name, *BAD_INPUTS[name])
+        for name in sorted(BAD_INPUTS)
+        if not name.startswith("non-unimodular")
+    ]
     + [("flat", 2, ((1, 0), (-1, 0)))],
 )
 def test_face_lattice_quotes_the_failed_shape_condition(name, dim, verts):
