@@ -5,8 +5,9 @@ Subcommands mirror the library surface: ``validate``, ``analyze``,
 JSON (or the polytope text format for the constructors) with stable key
 and array order, so runs over the same input are byte-identical.
 ``validate``, ``analyze``, ``check`` and ``batch`` share one runner and
-give only their record shapes; it takes the polytopes one after another
-in input order (``batch --jobs K`` is accepted and ignored).
+give only their record shapes (``check`` keeps the checks of one name
+from ``analyze``'s record); it takes the polytopes one after another in
+input order (``batch --jobs K`` is accepted and ignored).
 
 Exit codes: 0 clean; 1 a polytope failed validation; 2 a theorem-level
 check failed, which indicates a bug rather than mathematics; 3 the input
@@ -22,9 +23,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bounds import BoundCheck, analyze, check_casagrande, check_cfh, check_strong, check_weak
+from .bounds import BoundCheck, analyze
 from .enum2d import enumerate_2d
-from .fan import Fan
 from .formats import (
     FamilySpecError,
     ParseError,
@@ -101,20 +101,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return _run(args.files, args.out, _analyzed, lambda rs: _json(list(map(report_to_dict, rs))))
 
 
-_CHECKERS = {
-    "casagrande": lambda fan: (check_casagrande(fan),),
-    "cfh": check_cfh,
-    "strong": check_strong,
-    "weak": check_weak,
-}
+_CHECK_NAMES = ("casagrande", "cfh", "strong", "weak")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     def evaluate(p: FanoPolytope):
-        valid = validate_smooth_fano(p).passed
-        checks = _CHECKERS[args.which](Fan.from_polytope(p)) if valid else ()
-        record = {"name": p.name, "valid": valid, "checks": [check_to_dict(c) for c in checks]}
-        return record, valid, checks
+        report = analyze(p)
+        checks = tuple(c for c in report.checks if c.name == args.which)
+        dicts = [check_to_dict(c) for c in checks]
+        return {"name": p.name, "valid": report.valid, "checks": dicts}, report.valid, checks
 
     return _run(args.files, args.out, evaluate, _json)
 
@@ -161,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_check = sub.add_parser("check", help="evaluate one family of bounds")
-    p_check.add_argument("--which", required=True, choices=sorted(_CHECKERS))
+    p_check.add_argument("--which", required=True, choices=_CHECK_NAMES)
     p_check.add_argument("files", nargs="+")
     p_check.add_argument("--out")
     p_check.set_defaults(func=_cmd_check)

@@ -15,14 +15,21 @@ finishes every full-dimensional input: a facet that holds more than
 ``n`` points, or whose hyperplane passes through the origin, has its
 ridges found by the same walk one dimension down, so the validation
 report's evidence against simpliciality comes from the facets it found.
+A free sum of smooth Fano shapes is not walked whole: the first facet's
+dual basis splits the vertices into the components of their linear
+matroid, each factor is walked in its own coordinates from its share of
+that facet, and the facets are the joins of the factors' facets, with
+the dual bases the whole walk would carry.  So hexagon^k takes ``5k``
+pivots for its ``6^k`` facets.  Every other input, an invalid free sum
+included, is walked whole from the same first facet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, repeat
-from operator import floordiv, itemgetter, mul, neg, sub
+from itertools import compress, permutations, product, repeat
+from operator import add, floordiv, itemgetter, mul, neg, sub
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -49,6 +56,10 @@ Facet = tuple[tuple[int, ...], Vector, int]
 # (d, D) for a facet whose points, as the columns of B in index order, are
 # linearly independent: d = |det B| and D = d B^-1, so D.B = d I.
 DualBasis = tuple[int, Matrix]
+# the first facet, with its dual basis and that basis's products with every
+# point, or None for both when the facet has more than n points or c = 0
+Seed = tuple[Facet, DualBasis | None, Matrix | None]
+Hull = tuple[list[Facet], dict[tuple[int, ...], DualBasis]]
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -199,9 +210,21 @@ def _exchange(rows: Matrix, y: Sequence[int], r: int, pos: int, d: int) -> Matri
     return tuple(out)
 
 
+def _seed(verts: Sequence[Vector], n: int) -> Seed:
+    """The first facet (``_first_facet``), with its dual basis ``(d, D)`` and
+    the products ``P = D.W`` with every point when it has ``n`` points off
+    the origin, else with None for both: one elimination, O(n^2 (n + m))."""
+    first = _first_facet(verts, n)
+    idx, _, c = first
+    if len(idx) != n or not c:
+        return first, None, None
+    dual = dual_basis(list(zip(*(verts[i] for i in idx))))
+    return first, dual, tuple(tuple(_dot(row, vert) for vert in verts) for row in dual[1])
+
+
 def _pivot_walk(
-    verts: Sequence[Vector], n: int
-) -> tuple[list[Facet], dict[tuple[int, ...], DualBasis]]:
+    verts: Sequence[Vector], n: int, seed: Seed | None = None
+) -> Hull:
     """Every facet hyperplane of a full-dimensional hull, by crossing each open ridge once.
 
     A facet is (all points on its hyperplane, primitive outward normal,
@@ -224,16 +247,20 @@ def _pivot_walk(
     single point, and gets ``D``, and ``P`` if it has an open ridge, by
     an O(n (n + m)) exchange (``_exchange``), run when it is popped, so
     that a pending facet shares its parent's products instead of holding
-    its own.  A fresh elimination (``dual_basis`` of the facet's columns)
-    is needed only for the first facet and for a facet reached from a
+    its own.  The walk starts from ``seed``, the first facet with its
+    dual basis and products (``_seed``, which runs when no seed is
+    given).  A fresh elimination (``dual_basis`` of the facet's columns)
+    is needed only for the seed and for a facet reached from a
     non-simplicial or origin facet, so once per walk on a smooth input.
     Any other facet takes its ridges from the same walk one dimension
     down (``_lifted_ridges``) and its tilts from ``v.w`` directly; it
     skips only ridges already crossed, so on a non-simplicial hull a
     pivot may land on a facet already known.  In dimension 1 the facets
-    are the least and the largest point, each with its copies.  Returns
-    the facets in index order, and the dual basis of each facet that has
-    one.  Flat points raise NotFanoShapeError with their affine rank.
+    are the least and the largest point, each with its copies, the dual
+    basis of a one-point facet is read off its point, and the seed is not
+    read.  Returns the facets in index order, and the dual basis of each
+    facet that has one.  Flat points raise NotFanoShapeError with their
+    affine rank.
     """
     if n == 1:
         xs = [x for x, in verts]
@@ -243,14 +270,18 @@ def _pivot_walk(
         top = tuple(w for w, x in enumerate(xs) if x == hi)
         bottom = tuple(w for w, x in enumerate(xs) if x == lo)
         facets = sorted([(top, (1,), hi), (bottom, (-1,), -lo)])
+        # a facet of one point x != 0 has d = |x| and D = (sign x)
         return facets, {
-            idx: dual_basis([verts[idx[0]]]) for idx, _, c in facets if len(idx) == 1 and c
+            idx: (abs(x), ((1 if x > 0 else -1,),))
+            for idx, _, _ in facets
+            if len(idx) == 1 and (x := xs[idx[0]])
         }
     found: dict[int, Facet] = {}
     duals: dict[tuple[int, ...], DualBasis] = {}
     registered: set[int] = set()  # ridges of just one known facet of n points
     closed: set[int] = set()
-    # each pending facet holds the arguments of its exchange, or None
+    # each pending facet holds the arguments of its exchange, its given
+    # (dual, products) pair, or None for a fresh elimination
     todo: list[tuple[int, Facet, tuple | None]] = []
 
     def add(mask: int, facet: Facet, step: tuple | None) -> None:
@@ -265,8 +296,8 @@ def _pivot_walk(
                     registered.add(ridge)
         todo.append((mask, facet, step))
 
-    first = _first_facet(verts, n)
-    add(sum(1 << i for i in first[0]), first, None)
+    first, dual, products = seed or _seed(verts, n)
+    add(sum(1 << i for i in first[0]), first, None if dual is None else (dual, products))
     while todo:
         mask, (idx, u, c), step = todo.pop()
         if len(idx) == n and c:
@@ -277,6 +308,8 @@ def _pivot_walk(
                 dual = dual_basis(list(zip(*(verts[i] for i in idx))))
                 if open_ridges:
                     products = tuple(tuple(_dot(row, vert) for vert in verts) for row in dual[1])
+            elif len(step) == 2:
+                dual, products = step
             else:
                 (d, parent_rows), parent_products, r, w, pos = step
                 y = [row[w] for row in parent_products]
@@ -315,6 +348,94 @@ def _pivot_walk(
                     step = (dual, products, r, w, new_idx.index(w))
                 add(new_mask, (new_idx, normal, offset), step)
     return sorted(found.values()), duals
+
+
+def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> Hull | None:
+    """The hull of a free sum, joined from its factors' hulls; None unless it
+    splits into factors of smooth Fano shape.
+
+    With ``d = 1`` the seed's facet ``B`` is a lattice basis and column
+    ``w`` of ``P = B^-1 W`` is vertex ``w`` in that basis: its nonzero rows
+    are the facet points of ``w``'s fundamental circuit.  Joining each
+    facet point to every vertex whose circuit holds it (``_union``) gives
+    the components of the vertices' linear matroid (Oxley, "Matroid
+    theory"), and in the basis ``B`` the points are the free sum of the
+    components, each an integral point set in the coordinates of its own
+    facet points, read off ``P``.  Each factor is walked from its share of
+    the seed: its standard basis on the hyperplane ``x_1 + ... + x_k = 1``
+    (``u.B = (c, ..., c)`` is primitive, so ``c = 1`` unless the origin
+    is outside), with dual basis ``(1, I)`` and its own coordinates as
+    products, so no factor runs a search or an elimination.  A factor of
+    two or more points holds a point off the seed's facet, as the only
+    facet points in no other point's circuit are coloops, so it is
+    full-dimensional and its walk ends.
+
+    When every factor facet has ``n_i`` points, offset 1 and ``d = 1``,
+    the origin is interior to every factor, and every factor point lies
+    on a facet: a lattice point of the hull lies in a unimodular facet
+    cone at height at most 1, so it is a point of that facet or the
+    origin, which is a loop.  Then the facets are the joins of one facet
+    per factor (Batyrev, "On the classification of smooth projective
+    toric varieties", 1991).  A join's points are the sorted union of its
+    factor facets' points, its inverse rows are their factor rows, each
+    lifted once per factor facet to the input's coordinates through ``D``,
+    and its normal is the sum of those rows, at offset 1.  So the result
+    is exactly the whole walk's, at one sort of ``n`` rows and one vector
+    sum per facet instead of an exchange.  One component, ``d != 1``, ``c = -1``, a one-vertex
+    component (a loop or a coloop) and any factor that fails those
+    conditions give None, so that the whole walk, and its failure
+    details, decide every input that is not a free sum of smooth Fano
+    shapes.
+    """
+    (idx, _, c), dual, products = seed
+    if dual is None or dual[0] != 1 or c != 1:
+        return None
+    m = len(verts)
+    root = list(range(m))
+    for i, row in zip(idx, products):
+        for w in compress(range(m), row):
+            _union(root, i, w)
+    members: dict[int, list[int]] = {}
+    for w in range(m):
+        members.setdefault(_find(root, w), []).append(w)
+    if len(members) == 1 or any(len(pts) == 1 for pts in members.values()):
+        return None
+    positions: dict[int, list[int]] = {}
+    for k, i in enumerate(idx):
+        positions.setdefault(_find(root, i), []).append(k)
+    rows = dual[1]
+    factors = []
+    for r, pts in members.items():
+        ks = positions[r]
+        n = len(ks)
+        coords = tuple(tuple(products[k][w] for w in pts) for k in ks)
+        where = {w: j for j, w in enumerate(pts)}
+        first = (tuple(where[idx[k]] for k in ks), (1,) * n, 1)
+        share = (first, (1, identity_matrix(n)), coords)
+        hyperplanes, duals = _pivot_walk(list(zip(*coords)), n, share)
+        if any(len(f) != n or off != 1 or duals[f][0] != 1 for f, _, off in hyperplanes):
+            return None
+        # rows ks of D as columns: a functional e on the factor's coordinates
+        # is block.e on the input's
+        block = tuple(zip(*(rows[k] for k in ks)))
+        lifts = []
+        for f, _, _ in hyperplanes:
+            lifted = tuple(mat_vec(block, e) for e in duals[f][1])
+            pairs = tuple(zip(map(pts.__getitem__, f), lifted))
+            lifts.append((pairs, tuple(map(sum, zip(*lifted)))))
+        factors.append(lifts)
+    # (point and row pairs, normal) of each join of all factors but the last
+    joins = factors[0]
+    for lifts in factors[1:-1]:
+        joins = [(a + b, tuple(map(add, u, v))) for a, u in joins for b, v in lifts]
+    hull: list[Facet] = []
+    inverses: dict[tuple[int, ...], DualBasis] = {}
+    for (a, u), (b, v) in product(joins, factors[-1]):
+        pts, inverse = zip(*sorted(a + b))
+        hull.append((pts, tuple(map(add, u, v)), 1))
+        inverses[pts] = (1, inverse)
+    hull.sort()
+    return hull, inverses
 
 
 @dataclass(frozen=True)
@@ -399,7 +520,7 @@ class FanoPolytope:
     # -- hull ------------------------------------------------------------
 
     @cached_property
-    def _hull(self) -> tuple[list[Facet], dict[tuple[int, ...], DualBasis]]:
+    def _hull(self) -> Hull:
         """Every facet hyperplane of the full-dimensional hull, by exact ridge pivoting,
         with the dual basis of each facet of ``n`` points off the origin;
         NotFanoShapeError, quoting the affine rank, on a flat vertex set.
@@ -407,9 +528,13 @@ class FanoPolytope:
         Each facet is (indices of all points on the hyperplane, primitive
         outward normal, offset), in index order.  Only this module reads
         the pair: ``_shape``, ``validate_smooth_fano`` and ``face_lattice``
-        derive everything else from it.  ``_pivot_walk`` gives the costs.
+        derive everything else from it.  The first facet is found once
+        (``_seed``); a free sum of smooth Fano shapes is joined from its
+        factors' walks (``_free_sum_hull``), and every other input is
+        walked whole from that seed.  ``_pivot_walk`` gives the costs.
         """
-        return _pivot_walk(self.vertices, self.dim)
+        seed = _seed(self.vertices, self.dim)
+        return _free_sum_hull(self.vertices, seed) or _pivot_walk(self.vertices, self.dim, seed)
 
     @cached_property
     def _shape(self) -> tuple[ConditionResult, ...]:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from fanorank import polytope
 from fanorank.bounds import (
     AnalysisReport,
     BoundCheck,
@@ -245,3 +246,28 @@ def test_criterion_15_hexagon_power_four_normal_form():
     assert form == p.normal_form()
     assert elapsed < 5.0, f"normal form took {elapsed:.2f}s"
     _report("15 normal form of a hexagon^4 image equals the hexagon^4 form, in under 5 s")
+
+
+def test_criterion_16_whole_walk_hexagon_power_five():
+    # criteria 11 and 13 split the free sum; this one walks all of its facets
+    p = construct("product(hexagon,hexagon,hexagon,hexagon,hexagon)")
+    start = time.perf_counter()
+    hyperplanes, duals = polytope._pivot_walk(p.vertices, p.dim)
+    elapsed = time.perf_counter() - start
+    assert len(hyperplanes) == len(duals) == 7776
+    assert all(len(pts) == 10 and c == 1 and duals[pts][0] == 1 for pts, _, c in hyperplanes)
+    assert elapsed < 2.0, f"whole walk took {elapsed:.2f}s"
+    _report("16 whole facet walk of hexagon^5: 7776 unimodular facets in under 2 s")
+
+
+def test_criterion_17_hexagon_power_six_image_face_lattice():
+    p = construct("product(hexagon,hexagon,hexagon,hexagon,hexagon,hexagon)")
+    rng = random.Random(17)
+    q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
+    start = time.perf_counter()
+    lattice = q.face_lattice
+    elapsed = time.perf_counter() - start
+    assert len(lattice.facets) == 46656
+    assert None not in lattice.inverses
+    assert elapsed < 2.0, f"face lattice took {elapsed:.2f}s"
+    _report("17 face lattice of a hexagon^6 image: 46656 facets in under 2 s")

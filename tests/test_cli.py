@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -111,11 +112,15 @@ class TestExitCode:
         assert exit_code([(True, violation), (False, ())]) == 2
 
     def test_check_violation_exits_two(self, capsys, monkeypatch, sample_file):
-        violation = (BoundCheck("casagrande", None, 4, 5, False),)
-        monkeypatch.setitem(cli._CHECKERS, "casagrande", lambda fan: violation)
+        # check reads analyze's record, and only the checks it selects set the code
+        violation = BoundCheck("casagrande", None, 4, 5, False)
+        monkeypatch.setattr(cli, "analyze", lambda p: replace(analyze(p), checks=(violation,)))
         code, out = run_main(capsys, "check", "--which", "casagrande", str(sample_file))
         assert code == 2
         assert [len(r["checks"]) for r in json.loads(out)] == [1, 1]
+        code, out = run_main(capsys, "check", "--which", "weak", str(sample_file))
+        assert code == 0
+        assert [len(r["checks"]) for r in json.loads(out)] == [0, 0]
 
 
 class TestConstructCommand:

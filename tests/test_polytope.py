@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -8,7 +9,8 @@ import pytest
 
 from fanorank import construct, polytope
 from fanorank.bounds import analyze
-from fanorank.enum2d import enumerate_2d
+from fanorank.enum2d import _rings, enumerate_2d
+from fanorank.formats import validation_to_dict
 from fanorank.lattice import ShapeMismatchError, determinant
 from fanorank.polytope import (
     FanoPolytope,
@@ -265,6 +267,26 @@ def test_normal_form_errors(name, dim, verts):
     assert type(info.value) is error, name
 
 
+# Polygons that fail one condition each, for free sums with a bad factor.
+# With the hexagon, the square and the non-primitive vertex give a first
+# facet with d > 1, the coloop and the origin one-vertex components, and
+# the others reach the factor walks, in one order at least, and fail a
+# factor facet.
+BAD_POLYGONS = {
+    "square": ((1, 1), (-1, 1), (-1, -1), (1, -1)),
+    "origin on an edge": ((1, 0), (1, 1), (0, 1), (-1, 0)),
+    "origin outside": ((1, 0), (0, 1), (1, 1)),
+    "point on an edge": ((-1, -1), (-1, 0), (-1, 1), (1, 0)),
+    "interior point": BAD_INPUTS["interior point"][1],
+    "repeated vertex": ((-1, -1), (-1, -1), (0, 1), (1, 0)),
+    "non-primitive vertex": ((2, 0), (0, 1), (-1, -1)),
+    "non-unimodular facet": BAD_INPUTS["non-unimodular facet"][1],
+    # (1, 0) lies in no other vertex's circuit in the basis of the first facet
+    "coloop triangle": ((-1, 0), (1, 0), (1, -1)),
+    "origin as a point": ((1, 0), (0, 1), (-1, -1), (0, 0)),
+}
+
+
 SHAPE = ("full_dimensional", "origin_interior", "simplicial", "vertices_extremal")
 
 
@@ -309,6 +331,12 @@ def test_analyze_decides_shape_and_report_once(monkeypatch):
         assert calls == {"shape": 1, "report": 1}, p.name
 
 
+def whole_walk(p):
+    """The facet walk on the whole polytope, called directly, so that no
+    free sum is split into its factors."""
+    return polytope._pivot_walk(p.vertices, p.dim)
+
+
 def assert_walk_matches_oracle(p):
     """Same facet hyperplanes as the subset scan, its first witness quoted, exact dual bases."""
     hyperplanes, evidence = brute_force_hull(p.vertices, p.dim)
@@ -338,8 +366,9 @@ def assert_dual_bases_exact(p):
 @pytest.fixture
 def carried_products(monkeypatch):
     """Check every exchange over the points of the walk it runs in, nested
-    walks included.  ``divisors`` lists the ``d`` each exchange of a dual
-    basis divides by, and ``products`` counts the exchanges of products.
+    and factor walks included.  ``divisors`` lists the ``d`` each exchange
+    of a dual basis divides by, and ``products`` counts the exchanges of
+    products.
 
     ``_exchange`` pivots the rows of ``D`` (``n`` wide) or of the products
     ``P = D.W`` (one column per point).  An exchange of ``D`` must pivot on
@@ -353,10 +382,10 @@ def carried_products(monkeypatch):
     points, last = [], {}
     seen = SimpleNamespace(divisors=[], products=0)
 
-    def recorded_walk(verts, n):
+    def recorded_walk(verts, n, seed=None):
         points.append(verts)
         try:
-            return walk(verts, n)
+            return walk(verts, n, seed)
         finally:
             points.pop()
 
@@ -398,16 +427,20 @@ def random_point_set(rng):
 
 class TestPivotAgainstScan:
     def test_corpus(self, corpus, carried_products):
-        # fresh copies, so that the walk runs under the fixture
+        # fresh copies, so that the walks run under the fixture
         copies = [FanoPolytope(p.dim, p.vertices, p.name) for _, p in corpus]
+        walked = exchanged = 0
         for p in copies:
+            before = len(carried_products.divisors)
+            hyperplanes = whole_walk(p)[0]
+            exchanged += len(carried_products.divisors) - before
+            # one fresh elimination per whole walk; dimension 1 has no walk
+            walked += len(hyperplanes) - 1 if p.dim > 1 else 0
             assert_walk_matches_oracle(p)
-        # one fresh elimination per walk; dimension 1 has no walk
-        walked = sum(len(p._hull[0]) - 1 for p in copies if p.dim > 1)
-        exchanged = len(carried_products.divisors)
         assert exchanged == walked, (exchanged, walked)
         # facets whose ridges are all closed when popped take no products
-        assert 0 < carried_products.products < exchanged, carried_products.products
+        total = len(carried_products.divisors)
+        assert 0 < carried_products.products < total, carried_products.products
 
     @pytest.mark.parametrize(
         "spec", ["product(hexagon,hexagon,hexagon)", "product(simplex:2,hexagon,hexagon)"]
@@ -452,6 +485,87 @@ class TestPivotAgainstScan:
         assert divided > 1000, divided
 
 
+def splits(p):
+    """True iff the hull of ``p`` is joined from its factors' walks."""
+    return polytope._free_sum_hull(p.vertices, polytope._seed(p.vertices, p.dim)) is not None
+
+
+class TestFreeSumHull:
+    """The hull joined from the factors must be the whole walk's, facets,
+    normals, offsets and dual bases alike, and the subset scan's facets."""
+
+    def assert_hull_is_whole_walks(self, p):
+        assert p._hull == whole_walk(p), p.name
+        assert p._hull[0] == brute_force_hull(p.vertices, p.dim)[0], p.name
+
+    def test_corpus_and_images(self, corpus):
+        rng = random.Random(17)
+        members = [p for _, p in corpus] + [construct("product(simplex:2,hexagon,simplex:1)")]
+        square = free_sum(simplex(1), simplex(1)).normal_form()
+        for p in members:
+            # the free sums: the products and the square among the polygons
+            free = p.name.startswith("product(") or p.normal_form() == square
+            images = [transformed_copy(p, random_unimodular(p.dim, rng), rng) for _ in range(2)]
+            for q in [FanoPolytope(p.dim, p.vertices, p.name)] + images:
+                self.assert_hull_is_whole_walks(q)
+                assert splits(q) is free, q.name
+
+    def test_three_factors(self, monkeypatch):
+        walks = []
+        walk = polytope._pivot_walk
+
+        def recorded_walk(verts, n, seed=None):
+            walks.append((n, len(verts)))
+            return walk(verts, n, seed)
+
+        monkeypatch.setattr(polytope, "_pivot_walk", recorded_walk)
+        p = construct("product(simplex:2,hexagon,simplex:1)")
+        assert len(p._hull[0]) == 3 * 6 * 2
+        # one walk per factor, in the order of their least vertices
+        assert walks == [(2, 3), (2, 6), (1, 2)]
+
+    def test_rings(self):
+        rings = [FanoPolytope(2, ring, str(ring)) for ring in _rings(2)]
+        assert len(rings) == 103
+        for p in rings:
+            self.assert_hull_is_whole_walks(p)
+        # the rings that split are the images of the square
+        square = free_sum(simplex(1), simplex(1)).normal_form()
+        squares = [p.normal_form() == square for p in rings]
+        assert any(squares) and list(map(splits, rings)) == squares
+
+    @pytest.mark.parametrize("name", sorted(NON_PRODUCTS))
+    def test_non_products_form_one_component(self, name):
+        p = FanoPolytope(*NON_PRODUCTS[name], name)
+        self.assert_hull_is_whole_walks(p)
+        assert not splits(p)
+
+    def assert_report_is_whole_walks(self, p):
+        whole = FanoPolytope(p.dim, p.vertices, p.name)
+        whole.__dict__["_hull"] = whole_walk(whole)
+        assert p._hull == whole._hull, p.name
+        got, want = (json.dumps(validation_to_dict(validate_smooth_fano(q))) for q in (p, whole))
+        assert got == want, p.name
+        assert not validate_smooth_fano(p).passed
+
+    @pytest.mark.parametrize("name", sorted(BAD_POLYGONS))
+    def test_bad_factor_reports_whole_walks(self, name):
+        """A free sum with one bad factor is decided by the whole walk, so its
+        report is the whole walk's byte for byte, in either factor order."""
+        bad = FanoPolytope(2, BAD_POLYGONS[name], name)
+        for p in (free_sum(hexagon(), bad), free_sum(bad, hexagon())):
+            self.assert_report_is_whole_walks(p)
+
+    def test_first_facet_beyond_the_origin(self):
+        # an image of T + T, T = conv((1, 0), (0, 1), (1, 1)), whose first
+        # facet is unimodular at offset -1, so the factors cannot share it
+        verts = ((1, 2, -1, 1), (-1, 0, 2, 0), (0, 2, 1, 1), (0, 1, 0, 0), (0, 2, 0, 1), (0, 3, 0, 1))
+        p = FanoPolytope(4, verts, "T + T beyond the origin")
+        (_, _, c), (d, _), _ = polytope._seed(p.vertices, p.dim)
+        assert (c, d) == (-1, 1)
+        self.assert_report_is_whole_walks(p)
+
+
 @pytest.fixture
 def walk_pivots(monkeypatch):
     """Counts the widest pivots of the facet walk, leaving out those that
@@ -475,17 +589,46 @@ def walk_pivots(monkeypatch):
     return count
 
 
-def test_simplicial_walk_pivots_only_toward_new_facets(walk_pivots):
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the fresh eliminations of the hull, its ``dual_basis`` calls."""
+    count = SimpleNamespace(calls=0)
+    eliminate = polytope.dual_basis
+
+    def counted(m):
+        count.calls += 1
+        return eliminate(m)
+
+    monkeypatch.setattr(polytope, "dual_basis", counted)
+    return count
+
+
+def test_simplicial_walk_pivots_only_toward_new_facets(walk_pivots, eliminations):
     """On a simplicial hull every pivot finds a facet not yet known, so the
-    walk takes ``facets - 1`` of them, where crossing every ridge would take
-    ``facets * n / 2``."""
+    whole walk takes ``facets - 1`` of them, where crossing every ridge would
+    take ``facets * n / 2``, and one elimination, for its first facet."""
     rng = random.Random(12)
     hexagon3 = construct("product(hexagon,hexagon,hexagon)")
     hulls = [transformed_copy(hexagon3, random_unimodular(6, rng), rng) for _ in range(5)]
     hulls.append(simplex(13))
     hulls += [FanoPolytope(dim, verts, name) for name, (dim, verts) in NON_PRODUCTS.items()]
     for p in hulls:
-        before = walk_pivots.pivots
-        facets = p._hull[0]
+        before, eliminated = walk_pivots.pivots, eliminations.calls
+        facets = whole_walk(p)[0]
         assert all(len(pts) == p.dim for pts, _, _ in facets), p.name
         assert walk_pivots.pivots - before == len(facets) - 1, p.name
+        assert eliminations.calls - eliminated == 1, p.name
+
+
+def test_free_sum_walks_only_its_factors(walk_pivots, eliminations):
+    """The hull of hexagon^3 walks each hexagon from its share of the first
+    facet: 3 x 5 pivots for 216 facets, and no elimination past the first
+    facet's, in every seeded image."""
+    rng = random.Random(16)
+    hexagon3 = construct("product(hexagon,hexagon,hexagon)")
+    images = [transformed_copy(hexagon3, random_unimodular(6, rng), rng) for _ in range(5)]
+    for p in [FanoPolytope(6, hexagon3.vertices, hexagon3.name)] + images:
+        before, eliminated = walk_pivots.pivots, eliminations.calls
+        assert len(p._hull[0]) == 216, p.name
+        assert walk_pivots.pivots - before == 3 * 5, p.name
+        assert eliminations.calls - eliminated == 1, p.name
