@@ -88,16 +88,14 @@ class Fan:
         """Face fan of a polytope of smooth Fano shape: rays are vertices,
         cones are facets.
 
-        Both come from ``p.face_lattice``, whose inverses pre-fill the
-        cone inverses, so point location inverts no unimodular cone.  A
-        cone whose inverse is None (not unimodular) is left to the lazy
-        path, which raises when a query reaches it.
+        Both come from ``p.face_lattice``, and its ``inverses`` are the
+        cone inverses as they stand, so point location inverts no
+        unimodular cone.  A cone whose inverse is None (not unimodular) is
+        left to the lazy path, which raises when a query reaches it.
         """
         lattice = p.face_lattice
         fan = cls(p.dim, p.vertices, lattice.facets)
-        fan.__dict__["_inverse_cache"] = {
-            ci: inv for ci, inv in enumerate(lattice.inverses) if inv is not None
-        }
+        fan.__dict__["_inverses"] = lattice.inverses
         return fan
 
     @cached_property
@@ -161,21 +159,20 @@ class Fan:
         return frozenset(map(frozenset, self.all_faces))
 
     @cached_property
-    def _inverse_cache(self) -> dict[int, Matrix]:
-        return {}
+    def _inverses(self) -> Sequence[Matrix | None]:
+        """Each maximal cone's integer inverse, None until a query needs it."""
+        return [None] * len(self.max_cones)
 
     def is_cone(self, indices: Iterable[int]) -> bool:
         """True iff the rays span a cone, i.e. the set is a face of a maximal cone."""
         return self.cone_mask(indices) != 0
 
     def _cone_inverse(self, ci: int) -> Matrix:
-        cache = self._inverse_cache
-        inv = cache.get(ci)
+        inv = self._inverses[ci]
         if inv is None:
-            cone = self.max_cones[ci]
-            cols = tuple(zip(*(self.generators[i] for i in cone)))
-            inv = unimodular_inverse(cols)
-            cache[ci] = inv
+            cols = tuple(zip(*(self.generators[i] for i in self.max_cones[ci])))
+            # a face fan's None is a cone that is not unimodular, so this raises
+            inv = self._inverses[ci] = unimodular_inverse(cols)
         return inv
 
     def minimal_cone_containing(self, point: Sequence[int]) -> ConeLocation:

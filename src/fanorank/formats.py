@@ -12,8 +12,8 @@ The text format is line-based and hand-writable::
 ``#`` starts a comment anywhere on a line, blank lines are ignored, and
 names must be unique within a file.  Integers are ASCII decimal
 numerals with an optional sign.  Family specs are the strings
-accepted by ``construct``: ``simplex:<n>``, ``hexagon``, and
-``product(<spec>,<spec>,...)`` nested freely.  Reports serialize to JSON
+accepted by ``construct``: ``simplex:<n>`` (``n`` an ASCII decimal
+numeral), ``hexagon``, and ``product(<spec>,<spec>,...)`` nested freely.  Reports serialize to JSON
 with sorted keys and deterministically ordered arrays so equal analyses
 produce byte-identical output.
 """
@@ -158,7 +158,7 @@ def _parse_spec(text: str, pos: int) -> tuple[FanoPolytope, int]:
     if text.startswith("simplex:", pos):
         pos += len("simplex:")
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if start == pos:
             raise FamilySpecError("simplex needs a dimension, e.g. simplex:3")

@@ -18,18 +18,20 @@ report's evidence against simpliciality comes from the facets it found.
 A free sum of smooth Fano shapes is not walked whole: the first facet's
 dual basis splits the vertices into the components of their linear
 matroid, each factor is walked in its own coordinates from its share of
-that facet, and the facets are the joins of the factors' facets, with
-the dual bases the whole walk would carry.  So hexagon^k takes ``5k``
-pivots for its ``6^k`` facets.  Every other input, an invalid free sum
-included, is walked whole from the same first facet.
+that facet, and the facets are the joins of the factors' facets.  So
+hexagon^k takes ``5k`` pivots for its ``6^k`` facets.  Every other
+input, an invalid free sum included, is walked whole from the same first
+facet.  Both paths give one record, ``FaceLattice``, which validation,
+the canonical form and the face fan read as it stands.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, permutations, product, repeat
-from operator import add, floordiv, itemgetter, mul, neg, sub
+from operator import floordiv, itemgetter, mul, neg, sub
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -59,7 +61,29 @@ DualBasis = tuple[int, Matrix]
 # the first facet, with its dual basis and that basis's products with every
 # point, or None for both when the facet has more than n points or c = 0
 Seed = tuple[Facet, DualBasis | None, Matrix | None]
-Hull = tuple[list[Facet], dict[tuple[int, ...], DualBasis]]
+
+
+@dataclass(frozen=True)
+class FaceLattice:
+    """The hull's one record, from the facet walk to the face fan.
+
+    ``facets[k]`` holds the indices of all points on facet ``k``, in index
+    order, ``offsets[k]`` its offset ``c`` under its primitive outward
+    normal ``u`` and ``duals[k]`` its dual basis (``DualBasis``), or None
+    unless it has ``n`` points off the origin; ``u = (c / d) (D_1 + ... +
+    D_n)`` is not kept.  ``face_lattice`` is ``FanoPolytope._hull`` once
+    the shape conditions hold.  Face queries go through the face fan:
+    ``Fan.from_polytope(p).is_cone``.
+    """
+
+    facets: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+    duals: tuple[DualBasis | None, ...]
+
+    @cached_property
+    def inverses(self) -> tuple[Matrix | None, ...]:
+        """Each facet's integer inverse: ``D`` where ``d = 1``, None where it is not unimodular."""
+        return tuple(None if dual is None or dual[0] != 1 else dual[1] for dual in self.duals)
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -170,7 +194,8 @@ def _lifted_ridges(
     pts = [verts[i][:j] + verts[i][j + 1 :] for i in idx]
     total = [sum(col) for col in zip(*pts)]
     image = [tuple(len(pts) * x - t for x, t in zip(p, total)) for p in pts]
-    for ridge, w, _ in _pivot_walk(image, n - 1)[0]:
+    lattice, normals = _pivot_walk(image, n - 1)
+    for ridge, w in zip(lattice.facets, normals):
         v = w[:j] + (0,) + w[j:]
         yield sum(1 << idx[s] for s in ridge), v, _dot(v, verts[idx[ridge[0]]])
 
@@ -224,12 +249,12 @@ def _seed(verts: Sequence[Vector], n: int) -> Seed:
 
 def _pivot_walk(
     verts: Sequence[Vector], n: int, seed: Seed | None = None
-) -> Hull:
+) -> tuple[FaceLattice, tuple[Vector, ...]]:
     """Every facet hyperplane of a full-dimensional hull, by crossing each open ridge once.
 
-    A facet is (all points on its hyperplane, primitive outward normal,
-    offset), so a non-simplicial facet or a repeated point keeps all of
-    its points together.  A facet of ``n`` points registers its ``n``
+    A facet is all points on its hyperplane, so a non-simplicial facet or
+    a repeated point keeps all of its points together, with its primitive
+    outward normal and offset.  A facet of ``n`` points registers its ``n``
     drop-one ridges when it is found (the first facet too); a ridge is
     closed once both of its facets are known, or once it has been
     crossed, and a closed ridge is never pivoted.  So on a simplicial
@@ -258,9 +283,9 @@ def _pivot_walk(
     pivot may land on a facet already known.  In dimension 1 the facets
     are the least and the largest point, each with its copies, the dual
     basis of a one-point facet is read off its point, and the seed is not
-    read.  Returns the facets in index order, and the dual basis of each
-    facet that has one.  Flat points raise NotFanoShapeError with their
-    affine rank.
+    read.  Returns the hull's record (``FaceLattice``) and, in the same
+    order, the facets' normals, which only the walk one dimension up
+    reads.  Flat points raise NotFanoShapeError with their affine rank.
     """
     if n == 1:
         xs = [x for x, in verts]
@@ -269,22 +294,22 @@ def _pivot_walk(
             raise NotFanoShapeError("affine rank 0 < 1")
         top = tuple(w for w, x in enumerate(xs) if x == hi)
         bottom = tuple(w for w, x in enumerate(xs) if x == lo)
-        facets = sorted([(top, (1,), hi), (bottom, (-1,), -lo)])
+        facets, normals, offsets = zip(*sorted([(top, (1,), hi), (bottom, (-1,), -lo)]))
         # a facet of one point x != 0 has d = |x| and D = (sign x)
-        return facets, {
-            idx: (abs(x), ((1 if x > 0 else -1,),))
-            for idx, _, _ in facets
-            if len(idx) == 1 and (x := xs[idx[0]])
-        }
-    found: dict[int, Facet] = {}
-    duals: dict[tuple[int, ...], DualBasis] = {}
+        duals = tuple(
+            (abs(x), ((1 if x > 0 else -1,),)) if len(idx) == 1 and (x := xs[idx[0]]) else None
+            for idx in facets
+        )
+        return FaceLattice(facets, offsets, duals), normals
+    # each known facet as (points, normal, offset, dual basis or None until popped)
+    found: dict[int, tuple[tuple[int, ...], Vector, int, DualBasis | None]] = {}
     registered: set[int] = set()  # ridges of just one known facet of n points
     closed: set[int] = set()
     # each pending facet holds the arguments of its exchange, its given
     # (dual, products) pair, or None for a fresh elimination
-    todo: list[tuple[int, Facet, tuple | None]] = []
+    todo: list[tuple[int, tuple, tuple | None]] = []
 
-    def add(mask: int, facet: Facet, step: tuple | None) -> None:
+    def add(mask: int, facet: tuple, step: tuple | None) -> None:
         found[mask] = facet
         if len(facet[0]) == n:
             for i in facet[0]:
@@ -297,9 +322,9 @@ def _pivot_walk(
         todo.append((mask, facet, step))
 
     first, dual, products = seed or _seed(verts, n)
-    add(sum(1 << i for i in first[0]), first, None if dual is None else (dual, products))
+    add(sum(1 << i for i in first[0]), (*first, None), None if dual is None else (dual, products))
     while todo:
-        mask, (idx, u, c), step = todo.pop()
+        mask, (idx, u, c, _), step = todo.pop()
         if len(idx) == n and c:
             open_ridges = [
                 (r, ridge) for r, i in enumerate(idx) if (ridge := mask & ~(1 << i)) not in closed
@@ -316,7 +341,7 @@ def _pivot_walk(
                 dual = (abs(y[r]), _exchange(parent_rows, y, r, pos, d))
                 if open_ridges:
                     products = _exchange(parent_products, y, r, pos, d)
-            duals[idx] = dual
+            found[mask] = idx, u, c, dual
             if not open_ridges:
                 continue
             d, rows = dual
@@ -346,11 +371,15 @@ def _pivot_walk(
                 if dual is not None and len(touching) == 1 and offset:
                     w = touching[0]
                     step = (dual, products, r, w, new_idx.index(w))
-                add(new_mask, (new_idx, normal, offset), step)
-    return sorted(found.values()), duals
+                add(new_mask, (new_idx, normal, offset, None), step)
+    # by points alone: comparing int tuples takes half the time of whole records
+    known = sorted(found.values(), key=itemgetter(0))
+    found.clear()  # the masks are not returned: free them before the record is built
+    facets, normals, offsets, duals = (tuple(map(itemgetter(k), known)) for k in range(4))
+    return FaceLattice(facets, offsets, duals), normals
 
 
-def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> Hull | None:
+def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
     """The hull of a free sum, joined from its factors' hulls; None unless it
     splits into factors of smooth Fano shape.
 
@@ -370,22 +399,22 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> Hull | None:
     facet points in no other point's circuit are coloops, so it is
     full-dimensional and its walk ends.
 
-    When every factor facet has ``n_i`` points, offset 1 and ``d = 1``,
-    the origin is interior to every factor, and every factor point lies
-    on a facet: a lattice point of the hull lies in a unimodular facet
-    cone at height at most 1, so it is a point of that facet or the
-    origin, which is a loop.  Then the facets are the joins of one facet
-    per factor (Batyrev, "On the classification of smooth projective
-    toric varieties", 1991).  A join's points are the sorted union of its
-    factor facets' points, its inverse rows are their factor rows, each
-    lifted once per factor facet to the input's coordinates through ``D``,
-    and its normal is the sum of those rows, at offset 1.  So the result
-    is exactly the whole walk's, at one sort of ``n`` rows and one vector
-    sum per facet instead of an exchange.  One component, ``d != 1``, ``c = -1``, a one-vertex
-    component (a loop or a coloop) and any factor that fails those
-    conditions give None, so that the whole walk, and its failure
-    details, decide every input that is not a free sum of smooth Fano
-    shapes.
+    When every factor facet is unimodular (it has an inverse, so ``n_i``
+    points and ``d = 1``) at offset 1, the origin is interior to every
+    factor, and every factor point lies on a facet: a lattice point of
+    the hull lies in a unimodular facet cone at height at most 1, so it
+    is a point of that facet or the origin, which is a loop.  Then the
+    facets are the joins of one facet per factor (Batyrev, "On the
+    classification of smooth projective toric varieties", 1991).  A
+    join's points are the sorted union of its factor facets' points, and
+    its inverse rows are their factor rows, each lifted once per factor
+    facet to the input's coordinates through ``D``, at offset 1.  So the
+    record is exactly the whole walk's, at one sort of ``n`` rows per
+    facet instead of an exchange, and no normal is formed.  One
+    component, ``d != 1``, ``c = -1``, a one-vertex component (a loop or
+    a coloop) and any factor that fails those conditions give None, so
+    that the whole walk, and its failure details, decide every input
+    that is not a free sum of smooth Fano shapes.
     """
     (idx, _, c), dual, products = seed
     if dual is None or dual[0] != 1 or c != 1:
@@ -412,45 +441,28 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> Hull | None:
         where = {w: j for j, w in enumerate(pts)}
         first = (tuple(where[idx[k]] for k in ks), (1,) * n, 1)
         share = (first, (1, identity_matrix(n)), coords)
-        hyperplanes, duals = _pivot_walk(list(zip(*coords)), n, share)
-        if any(len(f) != n or off != 1 or duals[f][0] != 1 for f, _, off in hyperplanes):
+        lattice, _ = _pivot_walk(list(zip(*coords)), n, share)
+        if None in lattice.inverses or set(lattice.offsets) != {1}:
             return None
         # rows ks of D as columns: a functional e on the factor's coordinates
         # is block.e on the input's
         block = tuple(zip(*(rows[k] for k in ks)))
-        lifts = []
-        for f, _, _ in hyperplanes:
-            lifted = tuple(mat_vec(block, e) for e in duals[f][1])
-            pairs = tuple(zip(map(pts.__getitem__, f), lifted))
-            lifts.append((pairs, tuple(map(sum, zip(*lifted)))))
-        factors.append(lifts)
-    # (point and row pairs, normal) of each join of all factors but the last
+        points = (map(pts.__getitem__, f) for f in lattice.facets)
+        lifted = (tuple(mat_vec(block, e) for e in inverse) for inverse in lattice.inverses)
+        factors.append([tuple(zip(f, lift)) for f, lift in zip(points, lifted)])
+    # the (point, lifted row) pairs of each join of all factors but the last
     joins = factors[0]
     for lifts in factors[1:-1]:
-        joins = [(a + b, tuple(map(add, u, v))) for a, u in joins for b, v in lifts]
-    hull: list[Facet] = []
-    inverses: dict[tuple[int, ...], DualBasis] = {}
-    for (a, u), (b, v) in product(joins, factors[-1]):
-        pts, inverse = zip(*sorted(a + b))
-        hull.append((pts, tuple(map(add, u, v)), 1))
-        inverses[pts] = (1, inverse)
-    hull.sort()
-    return hull, inverses
-
-
-@dataclass(frozen=True)
-class FaceLattice:
-    """Facets of a polytope of smooth Fano shape, with their inverses.
-
-    ``facets`` are the sorted vertex index sets, in index order.
-    ``inverses[k]`` is the integer inverse of the matrix whose columns are
-    the vertices of ``facets[k]``, the dual basis the facet walk carried,
-    or None when that facet is not unimodular.  Face queries go through
-    the face fan: ``Fan.from_polytope(p).is_cone``.
-    """
-
-    facets: tuple[tuple[int, ...], ...]
-    inverses: tuple[Matrix | None, ...]
+        joins = [a + b for a in joins for b in lifts]
+    # (points, inverse) of each facet
+    cells = [tuple(zip(*sorted(a + b))) for a, b in product(joins, factors[-1])]
+    del joins  # free the partial joins before the sort: 4.5 MiB of peak RSS at hexagon^7
+    cells.sort(key=itemgetter(0))
+    facets = tuple(map(itemgetter(0), cells))
+    # each pair gives way to its dual basis, so that the two are never all held at once
+    for k, (_, inverse) in enumerate(cells):
+        cells[k] = (1, inverse)
+    return FaceLattice(facets, (1,) * len(facets), tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -520,21 +532,17 @@ class FanoPolytope:
     # -- hull ------------------------------------------------------------
 
     @cached_property
-    def _hull(self) -> Hull:
-        """Every facet hyperplane of the full-dimensional hull, by exact ridge pivoting,
-        with the dual basis of each facet of ``n`` points off the origin;
+    def _hull(self) -> FaceLattice:
+        """The hull's record (``FaceLattice``), by exact ridge pivoting;
         NotFanoShapeError, quoting the affine rank, on a flat vertex set.
 
-        Each facet is (indices of all points on the hyperplane, primitive
-        outward normal, offset), in index order.  Only this module reads
-        the pair: ``_shape``, ``validate_smooth_fano`` and ``face_lattice``
-        derive everything else from it.  The first facet is found once
-        (``_seed``); a free sum of smooth Fano shapes is joined from its
-        factors' walks (``_free_sum_hull``), and every other input is
-        walked whole from that seed.  ``_pivot_walk`` gives the costs.
+        The first facet is found once (``_seed``); a free sum of smooth
+        Fano shapes is joined from its factors' walks
+        (``_free_sum_hull``), and every other input is walked whole from
+        that seed.  ``_pivot_walk`` gives the costs.
         """
         seed = _seed(self.vertices, self.dim)
-        return _free_sum_hull(self.vertices, seed) or _pivot_walk(self.vertices, self.dim, seed)
+        return _free_sum_hull(self.vertices, seed) or _pivot_walk(self.vertices, self.dim, seed)[0]
 
     @cached_property
     def _shape(self) -> tuple[ConditionResult, ...]:
@@ -549,7 +557,7 @@ class FanoPolytope:
         """
         n, verts = self.dim, self.vertices
         try:
-            hyperplanes = self._hull[0]
+            hull = self._hull
         except NotFanoShapeError as flat:
             return (
                 _condition("full_dimensional", str(flat)),
@@ -558,12 +566,11 @@ class FanoPolytope:
                     for name in ("origin_interior", "simplicial", "vertices_extremal")
                 ),
             )
-        low = min(c for _, _, c in hyperplanes)
+        low = min(hull.offsets)
         witness = min(
-            (_least_basis(pts, verts) for pts, _, _ in hyperplanes if len(pts) > n),
-            default=None,
+            (_least_basis(pts, verts) for pts in hull.facets if len(pts) > n), default=None
         )
-        loose = sorted(set(range(len(verts))).difference(*(pts for pts, _, _ in hyperplanes)))
+        loose = sorted(set(range(len(verts))).difference(*hull.facets))
         return (
             _condition("full_dimensional", ""),
             _condition(
@@ -583,23 +590,17 @@ class FanoPolytope:
 
     @cached_property
     def face_lattice(self) -> FaceLattice:
-        """Facets as sorted index sets, with their carried inverses.
+        """The hull's record (``_hull``) itself, once the shape conditions hold.
 
-        Requires smooth Fano shape: raises NotFanoShapeError with the
-        detail of the first failed shape condition (``_shape``) when the
-        hull is not full-dimensional, the origin is not interior, the
-        hull is not simplicial (beyond the strict precondition, but it
-        prevents silently wrong face data downstream) or some input point
-        is not a vertex.  Unimodularity is not required: a facet that is
+        Raises NotFanoShapeError with the detail of the first failed shape
+        condition (``_shape``): non-simplicial face data would be silently
+        wrong downstream.  Unimodularity is not required: a facet that is
         not unimodular has None as its inverse.
         """
         failed = next((c for c in self._shape if not c.passed), None)
         if failed is not None:
             raise NotFanoShapeError(failed.detail)
-        hyperplanes, duals = self._hull
-        facets = tuple(pts for pts, _, _ in hyperplanes)
-        inverses = tuple(rows if d == 1 else None for d, rows in map(duals.__getitem__, facets))
-        return FaceLattice(facets, inverses)
+        return self._hull
 
     # -- canonical form ----------------------------------------------------
 
@@ -657,9 +658,10 @@ class FanoPolytope:
                     perm = [where[row] for row in map(best_order, best_images)]
                     if root is None:
                         root = list(range(len(facets)))
-                        index = {f: i for i, f in enumerate(facets)}
                     for i, f in enumerate(facets):
-                        _union(root, i, index[tuple(sorted(map(perm.__getitem__, f)))])
+                        # the facets are in index order: bisection finds the image
+                        image = tuple(sorted(map(perm.__getitem__, f)))
+                        _union(root, i, bisect_left(facets, image))
                     break
         if best is None:
             raise InternalInconsistencyError("a validated polytope has no facets")
@@ -711,21 +713,21 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
     facets sit on lattice-distance-1 hyperplanes, which already forces
     the origin to be the only interior lattice point, so that part of the
     Fano definition needs no lattice-point enumeration.  A facet of ``n``
-    points is unimodular iff the walk's dual basis has ``d = |det| = 1``,
-    and one through the origin (det 0) has none, so no determinant is
-    computed here.
+    points is unimodular iff it has an inverse, that is, iff the walk's
+    dual basis has ``d = |det| = 1``; one through the origin (det 0) has
+    none.  So no determinant is computed here.
     """
     verts, n = p.vertices, p.dim
     dup = sorted({v for v in verts if verts.count(v) > 1})
     bad_prim = [v for v in verts if content(v) != 1]
     shape = p._shape
     if shape[0].passed:
-        hyperplanes, duals = p._hull
-        # d = |det|; a facet of n points through the origin has det 0 and no dual basis
+        hull = p._hull
+        # a facet of n points through the origin has det 0 and no inverse
         bad_facets = [
             pts
-            for pts, _, _ in hyperplanes
-            if len(pts) == n and (pts not in duals or duals[pts][0] != 1)
+            for pts, inverse in zip(hull.facets, hull.inverses)
+            if len(pts) == n and inverse is None
         ]
         unimodular = f"non-unimodular facets: {bad_facets}" if bad_facets else ""
     else:

@@ -252,10 +252,13 @@ def test_criterion_16_whole_walk_hexagon_power_five():
     # criteria 11 and 13 split the free sum; this one walks all of its facets
     p = construct("product(hexagon,hexagon,hexagon,hexagon,hexagon)")
     start = time.perf_counter()
-    hyperplanes, duals = polytope._pivot_walk(p.vertices, p.dim)
+    lattice, normals = polytope._pivot_walk(p.vertices, p.dim)
     elapsed = time.perf_counter() - start
-    assert len(hyperplanes) == len(duals) == 7776
-    assert all(len(pts) == 10 and c == 1 and duals[pts][0] == 1 for pts, _, c in hyperplanes)
+    facets, offsets, duals = lattice.facets, lattice.offsets, lattice.duals
+    assert len(facets) == len(normals) == len(offsets) == len(duals) == 7776
+    assert all(
+        len(pts) == 10 and c == 1 and dual[0] == 1 for pts, c, dual in zip(facets, offsets, duals)
+    )
     assert elapsed < 2.0, f"whole walk took {elapsed:.2f}s"
     _report("16 whole facet walk of hexagon^5: 7776 unimodular facets in under 2 s")
 

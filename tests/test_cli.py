@@ -134,6 +134,14 @@ class TestConstructCommand:
         code, _ = run_main(capsys, "construct", "--family", "cube:3")
         assert code == 3
 
+    @pytest.mark.parametrize("spec", ["simplex:\u00b3", "simplex:\u0663"])
+    def test_non_ascii_dimension_exits_three(self, capsys, spec):
+        # a superscript digit used to escape as a ValueError, an Arabic-Indic one built simplex:3
+        code = main(["construct", "--family", spec])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestEnumerateCommand:
     def test_emits_five_blocks(self, capsys):

@@ -130,7 +130,8 @@ class TestPointLocation:
         for p in members:
             fan = Fan.from_polytope(p)
             inverses = p.face_lattice.inverses
-            assert fan._inverse_cache == dict(enumerate(inverses)), p.name
+            # the hull's one record, held by the fan as it stands
+            assert p.face_lattice is p._hull and fan._inverses is inverses, p.name
             for cone, inverse in zip(fan.max_cones, inverses):
                 cols = tuple(zip(*(fan.generators[i] for i in cone)))
                 assert inverse == unimodular_inverse(cols), (p.name, cone)
@@ -144,7 +145,8 @@ class TestPointLocation:
             if abs(determinant([fan.generators[i] for i in cone])) == 1
         ]
         carried = [ci for ci, inverse in enumerate(p.face_lattice.inverses) if inverse is not None]
-        assert carried == sorted(fan._inverse_cache) == unimodular == [0, 2]
+        held = [ci for ci, inverse in enumerate(fan._inverses) if inverse is not None]
+        assert carried == held == unimodular == [0, 2]
         # (0, -1) = ((1, 0) + (-1, -2)) / 2 lies inside the one non-unimodular
         # cone, so every search order has to invert it
         with pytest.raises(ValueError, match="not unimodular"):
@@ -153,9 +155,10 @@ class TestPointLocation:
     def test_hand_built_fan_inverts_lazily(self):
         h = fan_of(hexagon())
         fan = Fan(h.dim, h.generators, h.max_cones)
-        assert fan._inverse_cache == {}
+        assert fan._inverses == [None] * 6
         assert fan.minimal_cone_containing((2, 1)) == h.minimal_cone_containing((2, 1))
-        assert fan._inverse_cache == {ci: h._inverse_cache[ci] for ci in fan._inverse_cache}
+        inverted = [ci for ci, inverse in enumerate(fan._inverses) if inverse is not None]
+        assert inverted and all(fan._inverses[ci] == h._inverses[ci] for ci in inverted)
 
     def test_incomplete_fan_detected(self):
         """With any one maximal cone dropped from the hexagon and blow-up fans,

@@ -140,6 +140,11 @@ class TestConstruct:
             "product(simplex:1)",
             "product(simplex:1,simplex:1",
             "hexagon extra",
+            # dimensions are ASCII numerals, as in the text format
+            "simplex:\u00b3",
+            "simplex:\u0663",
+            "simplex:3\u0663",
+            "product(simplex:\uff12,hexagon)",
         ],
     )
     def test_malformed_specs(self, bad):

@@ -338,9 +338,18 @@ def whole_walk(p):
 
 
 def assert_walk_matches_oracle(p):
-    """Same facet hyperplanes as the subset scan, its first witness quoted, exact dual bases."""
+    """The whole walk finds the subset scan's facet hyperplanes, normals
+    included, each normal is ``(c / d)`` times the sum of its dual basis
+    rows, and the hull's record is the whole walk's: its first witness
+    quoted, exact dual bases."""
     hyperplanes, evidence = brute_force_hull(p.vertices, p.dim)
-    assert p._hull[0] == hyperplanes, p.name
+    lattice, normals = whole_walk(p)
+    assert list(zip(lattice.facets, normals, lattice.offsets)) == hyperplanes, p.name
+    for u, c, dual in zip(normals, lattice.offsets, lattice.duals):
+        if dual is not None:
+            d, rows = dual
+            assert u == tuple(c * t // d for t in map(sum, zip(*rows))), (p.name, u)
+    assert p._hull == lattice, p.name
     assert_dual_bases_exact(p)
     details = {c.name: c.detail for c in validate_smooth_fano(p).conditions}
     witness = ""
@@ -352,15 +361,22 @@ def assert_walk_matches_oracle(p):
 
 def assert_dual_bases_exact(p):
     """Every facet of n points off the origin, and no other, carries (d, D) with
-    d = |det B| by rational elimination and D.B = d I, B its points as columns."""
-    hyperplanes, duals = p._hull
-    n = p.dim
-    assert set(duals) == {pts for pts, _, c in hyperplanes if len(pts) == n and c}, p.name
-    for pts, (d, rows) in duals.items():
+    d = |det B| by rational elimination and D.B = d I, B its points as columns;
+    its inverse is present exactly when |det B| = 1, and then it is D."""
+    hull, n = p._hull, p.dim
+    assert len(hull.facets) == len(hull.offsets) == len(hull.duals) == len(hull.inverses)
+    for pts, c, dual, inverse in zip(hull.facets, hull.offsets, hull.duals, hull.inverses):
+        assert (dual is not None) == (len(pts) == n and c != 0), (p.name, pts)
+        if dual is None:
+            assert inverse is None, (p.name, pts)
+            continue
+        d, rows = dual
         points = [p.vertices[i] for i in pts]
-        assert d == abs(det_over_q(points)), (p.name, pts)
+        det = abs(det_over_q(points))
+        assert d == det, (p.name, pts)
         product = [[sum(x * y for x, y in zip(row, v)) for v in points] for row in rows]
         assert product == [[d * (i == j) for j in range(n)] for i in range(n)], (p.name, pts)
+        assert inverse is (rows if det == 1 else None), (p.name, pts)
 
 
 @pytest.fixture
@@ -432,10 +448,10 @@ class TestPivotAgainstScan:
         walked = exchanged = 0
         for p in copies:
             before = len(carried_products.divisors)
-            hyperplanes = whole_walk(p)[0]
+            facets = whole_walk(p)[0].facets
             exchanged += len(carried_products.divisors) - before
             # one fresh elimination per whole walk; dimension 1 has no walk
-            walked += len(hyperplanes) - 1 if p.dim > 1 else 0
+            walked += len(facets) - 1 if p.dim > 1 else 0
             assert_walk_matches_oracle(p)
         assert exchanged == walked, (exchanged, walked)
         # facets whose ridges are all closed when popped take no products
@@ -476,7 +492,7 @@ class TestPivotAgainstScan:
             p = FanoPolytope(n, verts)
             assert_walk_matches_oracle(p)
             checked += 1
-            non_simplicial += any(len(pts) > n for pts, _, _ in p._hull[0])
+            non_simplicial += any(len(pts) > n for pts in p._hull.facets)
             repeated += len(set(verts)) < len(verts)
         # the sample must reach the walk one dimension down, repeated points
         # and dual-basis exchanges that divide by d > 1
@@ -491,12 +507,15 @@ def splits(p):
 
 
 class TestFreeSumHull:
-    """The hull joined from the factors must be the whole walk's, facets,
-    normals, offsets and dual bases alike, and the subset scan's facets."""
+    """The hull joined from the factors must be the whole walk's record,
+    facets, offsets and dual bases alike, and the whole walk must find the
+    subset scan's facets, normals included."""
 
     def assert_hull_is_whole_walks(self, p):
-        assert p._hull == whole_walk(p), p.name
-        assert p._hull[0] == brute_force_hull(p.vertices, p.dim)[0], p.name
+        lattice, normals = whole_walk(p)
+        assert p._hull == lattice, p.name
+        hyperplanes = brute_force_hull(p.vertices, p.dim)[0]
+        assert list(zip(lattice.facets, normals, lattice.offsets)) == hyperplanes, p.name
 
     def test_corpus_and_images(self, corpus):
         rng = random.Random(17)
@@ -520,7 +539,7 @@ class TestFreeSumHull:
 
         monkeypatch.setattr(polytope, "_pivot_walk", recorded_walk)
         p = construct("product(simplex:2,hexagon,simplex:1)")
-        assert len(p._hull[0]) == 3 * 6 * 2
+        assert len(p._hull.facets) == 3 * 6 * 2
         # one walk per factor, in the order of their least vertices
         assert walks == [(2, 3), (2, 6), (1, 2)]
 
@@ -542,7 +561,7 @@ class TestFreeSumHull:
 
     def assert_report_is_whole_walks(self, p):
         whole = FanoPolytope(p.dim, p.vertices, p.name)
-        whole.__dict__["_hull"] = whole_walk(whole)
+        whole.__dict__["_hull"] = whole_walk(whole)[0]
         assert p._hull == whole._hull, p.name
         got, want = (json.dumps(validation_to_dict(validate_smooth_fano(q))) for q in (p, whole))
         assert got == want, p.name
@@ -614,8 +633,8 @@ def test_simplicial_walk_pivots_only_toward_new_facets(walk_pivots, eliminations
     hulls += [FanoPolytope(dim, verts, name) for name, (dim, verts) in NON_PRODUCTS.items()]
     for p in hulls:
         before, eliminated = walk_pivots.pivots, eliminations.calls
-        facets = whole_walk(p)[0]
-        assert all(len(pts) == p.dim for pts, _, _ in facets), p.name
+        facets = whole_walk(p)[0].facets
+        assert all(len(pts) == p.dim for pts in facets), p.name
         assert walk_pivots.pivots - before == len(facets) - 1, p.name
         assert eliminations.calls - eliminated == 1, p.name
 
@@ -629,6 +648,6 @@ def test_free_sum_walks_only_its_factors(walk_pivots, eliminations):
     images = [transformed_copy(hexagon3, random_unimodular(6, rng), rng) for _ in range(5)]
     for p in [FanoPolytope(6, hexagon3.vertices, hexagon3.name)] + images:
         before, eliminated = walk_pivots.pivots, eliminations.calls
-        assert len(p._hull[0]) == 216, p.name
+        assert len(p._hull.facets) == 216, p.name
         assert walk_pivots.pivots - before == 3 * 5, p.name
         assert eliminations.calls - eliminated == 1, p.name
