@@ -23,6 +23,7 @@ there and downstream tooling treats them as informational.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .fan import Fan
 from .lattice import InternalInconsistencyError
@@ -146,10 +147,33 @@ def check_weak(fan: Fan, components=None) -> tuple[BoundCheck, ...]:
     return tuple(out)
 
 
+def _factor_fans(p: FanoPolytope, fan: Fan) -> list[tuple[Sequence[int], Fan]]:
+    """(input indices of its rays, fan) for each factor of a valid ``p``.
+
+    A hull joined from its factors keeps them (``FaceLattice.factors``),
+    and each factor's fan is built from its own record, with the factor's
+    points as rays; a polytope that does not split is its own one factor,
+    on the whole fan ``fan``.
+    """
+    factors = p.face_lattice.factors
+    if not factors:
+        return [(range(len(p.vertices)), fan)]
+    return [(f.points, Fan._from_record(f.dim, f.vertices, f.lattice)) for f in factors]
+
+
 def analyze(p: FanoPolytope) -> AnalysisReport:
     """Validate, build the fan, and run every bound check.
 
-    Invalid input produces a report with the failure flags set and empty
+    The primitive collections and relations of a free sum are those of
+    its factors (Batyrev, "On the classification of smooth projective
+    toric varieties", 1991): a factor's generator sum lies in its own
+    coordinates, so its minimal cone is a cone of that factor.  So they
+    are enumerated on each factor's fan (``_factor_fans``), their indices
+    mapped back to the input's, and sorted by size, then
+    lexicographically, as ``primitive_collections`` orders them.  The
+    whole fan is built once; the checks read its dimension and Picard
+    rank, and every codegree is taken in the whole dimension.  Invalid
+    input produces a report with the failure flags set and empty
     relation, component and check lists; it never raises.
     """
     report = validate_smooth_fano(p)
@@ -160,9 +184,18 @@ def analyze(p: FanoPolytope) -> AnalysisReport:
             p.name, p.dim, m, rho, False, report, (), (), ()
         )
     fan = Fan.from_polytope(p)
-    relations = tuple(
-        primitive_relation(fan, pc) for pc in primitive_collections(fan)
-    )
+    found = []
+    for points, sub in _factor_fans(p, fan):
+        for pc in primitive_collections(sub):
+            r = primitive_relation(sub, pc)
+            found.append(
+                PrimitiveRelation(
+                    tuple(points[i] for i in r.collection),
+                    tuple((points[i], a) for i, a in r.rhs),
+                    r.degree,
+                )
+            )
+    relations = tuple(sorted(found, key=lambda r: (len(r.collection), r.collection)))
     # an empty right-hand side is exactly a zero-sum collection
     components = tuple(
         MinimalComponent(r.collection, r.degree, fan.dim + 1 - r.degree)

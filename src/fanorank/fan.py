@@ -31,7 +31,7 @@ from .lattice import (
     mat_vec,
     unimodular_inverse,
 )
-from .polytope import FanoPolytope
+from .polytope import FaceLattice, FanoPolytope
 
 
 class FanNotCompleteError(RuntimeError):
@@ -93,8 +93,13 @@ class Fan:
         unimodular cone.  A cone whose inverse is None (not unimodular) is
         left to the lazy path, which raises when a query reaches it.
         """
-        lattice = p.face_lattice
-        fan = cls(p.dim, p.vertices, lattice.facets)
+        return cls._from_record(p.dim, p.vertices, p.face_lattice)
+
+    @classmethod
+    def _from_record(cls, dim: int, generators: tuple[Vector, ...], lattice: FaceLattice) -> "Fan":
+        """The face fan of a hull's record over ``generators``, taking the
+        record's inverses as they stand: no elimination and no validation."""
+        fan = cls(dim, generators, lattice.facets)
         fan.__dict__["_inverses"] = lattice.inverses
         return fan
 

@@ -13,7 +13,10 @@ The text format is line-based and hand-writable::
 names must be unique within a file.  Integers are ASCII decimal
 numerals with an optional sign.  Family specs are the strings
 accepted by ``construct``: ``simplex:<n>`` (``n`` an ASCII decimal
-numeral), ``hexagon``, and ``product(<spec>,<spec>,...)`` nested freely.  Reports serialize to JSON
+numeral), ``hexagon``, and ``product(<spec>,<spec>,...)`` nested freely.
+A spec is sized before any vertex is built, and one whose dimension
+times vertex count exceeds ``MAX_SPEC_ENTRIES`` (10,000,000; simplex:3000
+has 9,003,000) is refused with FamilySpecError.  Reports serialize to JSON
 with sorted keys and deterministically ordered arrays so equal analyses
 produce byte-identical output.
 """
@@ -22,8 +25,8 @@ from __future__ import annotations
 
 import json
 import re
-from functools import reduce
-from typing import Sequence
+from functools import partial, reduce
+from typing import Callable, Sequence
 
 from .bounds import AnalysisReport, BoundCheck
 from .polytope import FanoPolytope, ValidationReport, free_sum, hexagon, simplex
@@ -128,16 +131,23 @@ def polytopes_to_text(polytopes: Sequence[FanoPolytope]) -> str:
 # -- family specs --------------------------------------------------------------
 
 
-def _parse_spec(text: str, pos: int) -> tuple[FanoPolytope, int]:
-    """The polytope of the spec at ``pos``, named by its normalized spec,
-    and the position after it."""
+# the most vertex entries (dimension x vertex count) a family spec may build:
+# simplex:3000 has 9,003,000
+MAX_SPEC_ENTRIES = 10_000_000
+
+
+def _parse_spec(text: str, pos: int) -> tuple[Callable[[], FanoPolytope], int, int, int]:
+    """The spec at ``pos``, sized but not built: (builder of its polytope,
+    its dimension, its vertex count, the position after it).  No vertex
+    exists until the builder runs, and a numeral too long to be under
+    ``MAX_SPEC_ENTRIES`` never reaches ``int``."""
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if text.startswith("product(", pos):
         pos += len("product(")
         factors = []
         while True:
-            factor, pos = _parse_spec(text, pos)
+            *factor, pos = _parse_spec(text, pos)
             factors.append(factor)
             while pos < len(text) and text[pos].isspace():
                 pos += 1
@@ -152,9 +162,17 @@ def _parse_spec(text: str, pos: int) -> tuple[FanoPolytope, int]:
             raise FamilySpecError(f"expected ',' or ')' at position {pos}")
         if len(factors) < 2:
             raise FamilySpecError("product needs at least two factors")
-        built = reduce(free_sum, factors)
-        name = "product(" + ",".join(f.name for f in factors) + ")"
-        return FanoPolytope(built.dim, built.vertices, name), pos
+        builders, dims, counts = zip(*factors)
+
+        def build() -> FanoPolytope:
+            parts = []
+            for make in builders:  # a comprehension would add a frame per nesting level
+                parts.append(make())
+            built = reduce(free_sum, parts)
+            name = "product(" + ",".join(f.name for f in parts) + ")"
+            return FanoPolytope(built.dim, built.vertices, name)
+
+        return build, sum(dims), sum(counts), pos
     if text.startswith("simplex:", pos):
         pos += len("simplex:")
         start = pos
@@ -162,23 +180,38 @@ def _parse_spec(text: str, pos: int) -> tuple[FanoPolytope, int]:
             pos += 1
         if start == pos:
             raise FamilySpecError("simplex needs a dimension, e.g. simplex:3")
-        n = int(text[start:pos])
+        digits = text[start:pos].lstrip("0")
+        # a numeral longer than the limit's is a dimension above it, and n (n + 1) more so
+        if len(digits) > len(str(MAX_SPEC_ENTRIES)):
+            raise FamilySpecError(
+                f"simplex dimension of {len(digits)} digits: over {MAX_SPEC_ENTRIES} vertex entries"
+            )
+        n = int(digits or "0")
         if n < 1:
             raise FamilySpecError("simplex dimension must be at least 1")
-        return simplex(n), pos
+        return partial(simplex, n), n, n + 1, pos
     if text.startswith("hexagon", pos):
-        return hexagon(), pos + len("hexagon")
+        return hexagon, 2, 6, pos + len("hexagon")
     raise FamilySpecError(f"unrecognized family spec at position {pos}: {text[pos:]!r}")
 
 
 def construct(spec: str) -> FanoPolytope:
-    """Build a polytope from a family spec string, named by the normalized spec."""
-    polytope, pos = _parse_spec(spec, 0)
+    """Build a polytope from a family spec string, named by the normalized spec.
+
+    The spec is sized before anything is built: one of more than
+    ``MAX_SPEC_ENTRIES`` vertex entries raises FamilySpecError.
+    """
+    build, dim, count, pos = _parse_spec(spec, 0)
     while pos < len(spec) and spec[pos].isspace():
         pos += 1
     if pos != len(spec):
         raise FamilySpecError(f"trailing input after spec: {spec[pos:]!r}")
-    return polytope
+    if dim * count > MAX_SPEC_ENTRIES:
+        raise FamilySpecError(
+            f"spec of dimension {dim} with {count} vertices: "
+            f"{dim * count} vertex entries, over {MAX_SPEC_ENTRIES}"
+        )
+    return build()
 
 
 # -- JSON reports --------------------------------------------------------------

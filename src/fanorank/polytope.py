@@ -22,13 +22,15 @@ that facet, and the facets are the joins of the factors' facets.  So
 hexagon^k takes ``5k`` pivots for its ``6^k`` facets.  Every other
 input, an invalid free sum included, is walked whole from the same first
 facet.  Both paths give one record, ``FaceLattice``, which validation,
-the canonical form and the face fan read as it stands.
+the canonical form and the face fan read as it stands; a joined record
+also keeps its factors, on whose own fans ``analyze`` enumerates the
+primitive collections.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, permutations, product, repeat
 from operator import floordiv, itemgetter, mul, neg, sub
@@ -71,19 +73,36 @@ class FaceLattice:
     order, ``offsets[k]`` its offset ``c`` under its primitive outward
     normal ``u`` and ``duals[k]`` its dual basis (``DualBasis``), or None
     unless it has ``n`` points off the origin; ``u = (c / d) (D_1 + ... +
-    D_n)`` is not kept.  ``face_lattice`` is ``FanoPolytope._hull`` once
-    the shape conditions hold.  Face queries go through the face fan:
-    ``Fan.from_polytope(p).is_cone``.
+    D_n)`` is not kept.  ``factors`` holds the factors of a hull joined
+    from them (``_free_sum_hull``), and is empty on a record from the
+    whole walk; it takes no part in equality, so two records are equal
+    iff their facets, offsets and dual bases are.  ``face_lattice`` is
+    ``FanoPolytope._hull`` once the shape conditions hold.  Face queries
+    go through the face fan: ``Fan.from_polytope(p).is_cone``.
     """
 
     facets: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
     duals: tuple[DualBasis | None, ...]
+    factors: tuple[Factor, ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def inverses(self) -> tuple[Matrix | None, ...]:
         """Each facet's integer inverse: ``D`` where ``d = 1``, None where it is not unimodular."""
         return tuple(None if dual is None or dual[0] != 1 else dual[1] for dual in self.duals)
+
+
+@dataclass(frozen=True)
+class Factor:
+    """One factor of a free sum: its ``points`` (ascending indices into the
+    input), its dimension ``dim``, those points as ``vertices`` in the
+    factor's own coordinates, and its hull's record ``lattice`` over them.
+    """
+
+    points: tuple[int, ...]
+    dim: int
+    vertices: tuple[Vector, ...]
+    lattice: FaceLattice
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -414,7 +433,9 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
     component, ``d != 1``, ``c = -1``, a one-vertex component (a loop or
     a coloop) and any factor that fails those conditions give None, so
     that the whole walk, and its failure details, decide every input
-    that is not a free sum of smooth Fano shapes.
+    that is not a free sum of smooth Fano shapes.  The record keeps the
+    factors (``Factor``: points, coordinates and the factor walk's
+    record), for the factors' face fans.
     """
     (idx, _, c), dual, products = seed
     if dual is None or dual[0] != 1 or c != 1:
@@ -434,6 +455,7 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
         positions.setdefault(_find(root, i), []).append(k)
     rows = dual[1]
     factors = []
+    pairs = []  # each factor's facets as (point, lifted row) pairs
     for r, pts in members.items():
         ks = positions[r]
         n = len(ks)
@@ -441,28 +463,30 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
         where = {w: j for j, w in enumerate(pts)}
         first = (tuple(where[idx[k]] for k in ks), (1,) * n, 1)
         share = (first, (1, identity_matrix(n)), coords)
-        lattice, _ = _pivot_walk(list(zip(*coords)), n, share)
+        vertices = tuple(zip(*coords))
+        lattice, _ = _pivot_walk(vertices, n, share)
         if None in lattice.inverses or set(lattice.offsets) != {1}:
             return None
+        factors.append(Factor(tuple(pts), n, vertices, lattice))
         # rows ks of D as columns: a functional e on the factor's coordinates
         # is block.e on the input's
         block = tuple(zip(*(rows[k] for k in ks)))
         points = (map(pts.__getitem__, f) for f in lattice.facets)
         lifted = (tuple(mat_vec(block, e) for e in inverse) for inverse in lattice.inverses)
-        factors.append([tuple(zip(f, lift)) for f, lift in zip(points, lifted)])
+        pairs.append([tuple(zip(f, lift)) for f, lift in zip(points, lifted)])
     # the (point, lifted row) pairs of each join of all factors but the last
-    joins = factors[0]
-    for lifts in factors[1:-1]:
+    joins = pairs[0]
+    for lifts in pairs[1:-1]:
         joins = [a + b for a in joins for b in lifts]
     # (points, inverse) of each facet
-    cells = [tuple(zip(*sorted(a + b))) for a, b in product(joins, factors[-1])]
+    cells = [tuple(zip(*sorted(a + b))) for a, b in product(joins, pairs[-1])]
     del joins  # free the partial joins before the sort: 4.5 MiB of peak RSS at hexagon^7
     cells.sort(key=itemgetter(0))
     facets = tuple(map(itemgetter(0), cells))
     # each pair gives way to its dual basis, so that the two are never all held at once
     for k, (_, inverse) in enumerate(cells):
         cells[k] = (1, inverse)
-    return FaceLattice(facets, (1,) * len(facets), tuple(cells))
+    return FaceLattice(facets, (1,) * len(facets), tuple(cells), tuple(factors))
 
 
 @dataclass(frozen=True)

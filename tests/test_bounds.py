@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,10 @@ from fanorank.bounds import (
 from fanorank.fan import Fan
 from fanorank.formats import construct
 from fanorank.lattice import InternalInconsistencyError
-from fanorank.mori import minimal_components
+from fanorank.mori import minimal_components, primitive_collections, primitive_relation
 from fanorank.polytope import FanoPolytope, free_sum, hexagon, simplex
+
+from helpers import NON_PRODUCTS, random_unimodular, transformed_copy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -147,22 +150,61 @@ class TestAnalyze:
         )
 
     def test_collections_enumerated_once(self, monkeypatch):
-        calls = []
+        # once per factor: a free sum's collections are enumerated on each
+        # factor's fan and never on the whole fan, which is built once
+        calls, built = [], []
         original = mori.primitive_collections
+        from_polytope = Fan.from_polytope.__func__
 
         def counting(fan):
             calls.append(fan)
             return original(fan)
 
+        def building(cls, p):
+            built.append(p)
+            return from_polytope(cls, p)
+
         monkeypatch.setattr(bounds, "primitive_collections", counting)
         monkeypatch.setattr(mori, "primitive_collections", counting)
-        rep = analyze(free_sum(simplex(2), hexagon()))
+        monkeypatch.setattr(Fan, "from_polytope", classmethod(building))
+        p = free_sum(simplex(2), hexagon())
+        rep = analyze(p)
         assert rep.valid and len(rep.components) == 4
-        assert len(calls) == 1
+        assert built == [p]
+        assert sorted(len(fan.generators) for fan in calls) == [3, 6]
+        assert all(fan.dim == 2 for fan in calls)
+        # a polytope that does not split is its own one factor, on the whole fan
+        whole = [hexagon()] + [FanoPolytope(d, v, n) for n, (d, v) in NON_PRODUCTS.items()]
+        for p in whole:
+            calls.clear()
+            built.clear()
+            assert analyze(p).valid, p.name
+            assert built == [p] and calls == [from_polytope(Fan, p)], p.name
 
     def test_components_derived_from_relations(self, corpus_fans):
         for name, p, fan in corpus_fans:
             assert analyze(p).components == minimal_components(fan), name
+
+    def test_factor_relations_match_the_whole_fan(self, corpus):
+        # the oracle: relations and components enumerated on the whole face fan
+        rng = random.Random(18)
+        members = [p for _, p in corpus] + [
+            construct("product(simplex:2,hexagon,simplex:1)"),
+            construct("product(hexagon,hexagon,hexagon,hexagon)"),
+        ]
+        members += [
+            transformed_copy(p, random_unimodular(p.dim, rng), rng)
+            for p in members[: len(corpus)]
+            for _ in range(2)
+        ]
+        members += [FanoPolytope(d, v, n) for n, (d, v) in NON_PRODUCTS.items()]
+        for p in members:
+            rep = analyze(p)
+            fan = Fan.from_polytope(p)
+            whole = tuple(primitive_relation(fan, pc) for pc in primitive_collections(fan))
+            assert rep.valid, p.name
+            assert rep.relations == whole, p.name
+            assert rep.components == minimal_components(fan), p.name
 
 
 class TestInvariants:

@@ -142,6 +142,18 @@ class TestConstructCommand:
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["simplex:" + "9" * 5000, "simplex:99999999999999999999", "product(simplex:3162,hexagon)"],
+        ids=["5000 digits", "20 digits", "product(simplex:3162,hexagon)"],
+    )
+    def test_oversized_spec_exits_three(self, capsys, spec):
+        # the first used to escape as a ValueError from int(), the second never returned
+        code = main(["construct", "--family", spec])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestEnumerateCommand:
     def test_emits_five_blocks(self, capsys):

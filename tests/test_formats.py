@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fanorank import formats
 from fanorank.bounds import analyze
 from fanorank.formats import (
     FamilySpecError,
@@ -150,6 +151,37 @@ class TestConstruct:
     def test_malformed_specs(self, bad):
         with pytest.raises(FamilySpecError):
             construct(bad)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "simplex:" + "9" * 5000,  # past the interpreter's digit limit for int()
+            "simplex:99999999999999999999",
+            "simplex:3162",
+            "product(simplex:2000,simplex:2000)",
+            "product(hexagon,simplex:" + "9" * 5000 + ")",
+        ],
+        ids=["5000 digits", "20 digits", "simplex:3162", "simplex:2000 twice", "factor of 5000 digits"],
+    )
+    def test_oversized_specs_refused_before_building(self, monkeypatch, spec):
+        def forbidden(*args):
+            raise AssertionError("built a polytope of an oversized spec")
+
+        for name in ("simplex", "hexagon", "free_sum"):
+            monkeypatch.setattr(formats, name, forbidden)
+        with pytest.raises(FamilySpecError, match="over 10000000"):
+            construct(spec)
+
+    def test_size_limit_is_on_dimension_times_vertex_count(self, monkeypatch):
+        _, dim, count, _ = formats._parse_spec("simplex:3000", 0)
+        assert dim * count == 9_003_000 <= formats.MAX_SPEC_ENTRIES
+        monkeypatch.setattr(formats, "MAX_SPEC_ENTRIES", 12)
+        for spec in ("simplex:3", "hexagon", "product(simplex:1,simplex:1)"):
+            p = construct(spec)
+            assert p.dim * len(p.vertices) <= 12, spec
+        for spec in ("simplex:4", "product(hexagon,simplex:1)", "simplex:" + "0" * 5000 + "4"):
+            with pytest.raises(FamilySpecError):
+                construct(spec)
 
 
 class TestReports:
