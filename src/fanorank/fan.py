@@ -7,8 +7,9 @@ nonzero, so no face is ever built as a set.  Because every maximal cone
 is unimodular, a point's coordinates in a cone are its product with the
 cone's integer inverse, with no rounding anywhere, and locating it is a
 walk across the ridges of negative coordinates.  A face fan takes
-those inverses from the polytope's ``face_lattice``; a fan built by hand
-inverts a cone the first time a query reaches it.  The star quotient
+those inverses from the polytope's ``face_lattice`` when a query first
+needs one, so face queries alone never have a joined record form them; a
+fan built by hand inverts a cone the first time a query reaches it.  The star quotient
 collapses a cone to the fan of the corresponding intersection of toric
 divisors.  Its projection is a set of rows of one of those same cone
 inverses, and each quotient ray lifts back to the one generator that
@@ -89,18 +90,22 @@ class Fan:
         cones are facets.
 
         Both come from ``p.face_lattice``, and its ``inverses`` are the
-        cone inverses as they stand, so point location inverts no
-        unimodular cone.  A cone whose inverse is None (not unimodular) is
-        left to the lazy path, which raises when a query reaches it.
+        cone inverses as they stand, read when a query first needs one
+        (``_from_record``), so point location inverts no unimodular cone.
+        A cone whose inverse is None (not unimodular) is left to the lazy
+        path, which raises when a query reaches it.
         """
         return cls._from_record(p.dim, p.vertices, p.face_lattice)
 
     @classmethod
     def _from_record(cls, dim: int, generators: tuple[Vector, ...], lattice: FaceLattice) -> "Fan":
-        """The face fan of a hull's record over ``generators``, taking the
-        record's inverses as they stand: no elimination and no validation."""
+        """The face fan of a hull's record over ``generators``: no elimination
+        and no validation.  The fan keeps the record and takes its inverses
+        as they stand the first time a query reaches a cone (``_inverses``),
+        so a fan that only answers face queries never has a joined record
+        form its dual bases."""
         fan = cls(dim, generators, lattice.facets)
-        fan.__dict__["_inverses"] = lattice.inverses
+        fan.__dict__["_record"] = lattice
         return fan
 
     @cached_property
@@ -165,8 +170,10 @@ class Fan:
 
     @cached_property
     def _inverses(self) -> Sequence[Matrix | None]:
-        """Each maximal cone's integer inverse, None until a query needs it."""
-        return [None] * len(self.max_cones)
+        """Each maximal cone's integer inverse: a face fan's record's
+        ``inverses``, or, on a fan built by hand, None until a query needs it."""
+        record = self.__dict__.get("_record")
+        return [None] * len(self.max_cones) if record is None else record.inverses
 
     def is_cone(self, indices: Iterable[int]) -> bool:
         """True iff the rays span a cone, i.e. the set is a face of a maximal cone."""

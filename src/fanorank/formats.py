@@ -13,10 +13,11 @@ The text format is line-based and hand-writable::
 names must be unique within a file.  Integers are ASCII decimal
 numerals with an optional sign.  Family specs are the strings
 accepted by ``construct``: ``simplex:<n>`` (``n`` an ASCII decimal
-numeral), ``hexagon``, and ``product(<spec>,<spec>,...)`` nested freely.
-A spec is sized before any vertex is built, and one whose dimension
-times vertex count exceeds ``MAX_SPEC_ENTRIES`` (10,000,000; simplex:3000
-has 9,003,000) is refused with FamilySpecError.  Reports serialize to JSON
+numeral), ``hexagon``, and ``product(<spec>,<spec>,...)``, nested up to
+``MAX_SPEC_DEPTH`` (100) products deep.  A spec is sized before any
+vertex is built, and one whose dimension times vertex count exceeds
+``MAX_SPEC_ENTRIES`` (10,000,000; simplex:3000 has 9,003,000) is refused
+with FamilySpecError, as is one nested deeper.  Reports serialize to JSON
 with sorted keys and deterministically ordered arrays so equal analyses
 produce byte-identical output.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from functools import partial, reduce
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .bounds import AnalysisReport, BoundCheck
@@ -134,6 +136,9 @@ def polytopes_to_text(polytopes: Sequence[FanoPolytope]) -> str:
 # the most vertex entries (dimension x vertex count) a family spec may build:
 # simplex:3000 has 9,003,000
 MAX_SPEC_ENTRIES = 10_000_000
+# the most products a family spec may nest, one inside the next: parsing and
+# building each take a stack frame per level
+MAX_SPEC_DEPTH = 100
 
 
 def _parse_spec(text: str, pos: int) -> tuple[Callable[[], FanoPolytope], int, int, int]:
@@ -199,8 +204,13 @@ def construct(spec: str) -> FanoPolytope:
     """Build a polytope from a family spec string, named by the normalized spec.
 
     The spec is sized before anything is built: one of more than
-    ``MAX_SPEC_ENTRIES`` vertex entries raises FamilySpecError.
+    ``MAX_SPEC_ENTRIES`` vertex entries raises FamilySpecError, and so
+    does one that opens more than ``MAX_SPEC_DEPTH`` parentheses at once,
+    before it is parsed.
     """
+    depth = max(accumulate((ch == "(") - (ch == ")") for ch in spec), default=0)
+    if depth > MAX_SPEC_DEPTH:
+        raise FamilySpecError(f"products nested {depth} deep: over {MAX_SPEC_DEPTH}")
     build, dim, count, pos = _parse_spec(spec, 0)
     while pos < len(spec) and spec[pos].isspace():
         pos += 1

@@ -22,9 +22,11 @@ that facet, and the facets are the joins of the factors' facets.  So
 hexagon^k takes ``5k`` pivots for its ``6^k`` facets.  Every other
 input, an invalid free sum included, is walked whole from the same first
 facet.  Both paths give one record, ``FaceLattice``, which validation,
-the canonical form and the face fan read as it stands; a joined record
-also keeps its factors, on whose own fans ``analyze`` enumerates the
-primitive collections.
+the canonical form and the face fan read as it stands.  A joined record
+also keeps its factors: ``analyze`` enumerates the primitive collections
+on their own fans, validation reads the shape conditions and
+unimodularity off them, and the facet inverses are formed from them only
+when something reads them, as the canonical form and point location do.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, permutations, product, repeat
-from operator import floordiv, itemgetter, mul, neg, sub
+from operator import add, floordiv, itemgetter, mul, neg, sub
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -65,7 +67,7 @@ DualBasis = tuple[int, Matrix]
 Seed = tuple[Facet, DualBasis | None, Matrix | None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceLattice:
     """The hull's one record, from the facet walk to the face fan.
 
@@ -73,36 +75,120 @@ class FaceLattice:
     order, ``offsets[k]`` its offset ``c`` under its primitive outward
     normal ``u`` and ``duals[k]`` its dual basis (``DualBasis``), or None
     unless it has ``n`` points off the origin; ``u = (c / d) (D_1 + ... +
-    D_n)`` is not kept.  ``factors`` holds the factors of a hull joined
-    from them (``_free_sum_hull``), and is empty on a record from the
-    whole walk; it takes no part in equality, so two records are equal
-    iff their facets, offsets and dual bases are.  ``face_lattice`` is
-    ``FanoPolytope._hull`` once the shape conditions hold.  Face queries
-    go through the face fan: ``Fan.from_polytope(p).is_cone``.
+    D_n)`` is not kept.  A walk's record (``walked``) holds its dual bases
+    from the start.  A hull joined from its factors (``_free_sum_hull``)
+    keeps them in ``factors``, and ``order[k]`` is the place of facet ``k``
+    among the joins in the product order of the factors' facets; its
+    inverses are formed from those (``_joined_inverses``) the first time
+    ``inverses`` or ``duals`` is read, and validation and ``analyze`` read
+    neither.  Two records are equal iff their facets, offsets and dual
+    bases are, formed if need be; ``factors`` and ``order`` take no part.
+    ``face_lattice`` is ``FanoPolytope._hull`` once the shape conditions
+    hold.  Face queries go through the face fan:
+    ``Fan.from_polytope(p).is_cone``.
     """
 
     facets: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
-    duals: tuple[DualBasis | None, ...]
-    factors: tuple[Factor, ...] = field(default=(), compare=False, repr=False)
+    factors: tuple[Factor, ...] = field(default=(), repr=False)
+    order: Sequence[int] = field(default=(), repr=False)
+
+    @classmethod
+    def walked(
+        cls,
+        facets: tuple[tuple[int, ...], ...],
+        offsets: tuple[int, ...],
+        duals: tuple[DualBasis | None, ...],
+    ) -> FaceLattice:
+        """A walk's record, which holds its dual bases from the start."""
+        lattice = cls(facets, offsets)
+        lattice.__dict__["duals"] = duals
+        return lattice
+
+    @cached_property
+    def duals(self) -> tuple[DualBasis | None, ...]:
+        """Each facet's dual basis; a joined record's are its ``inverses`` at ``d = 1``."""
+        return tuple(zip(repeat(1), self.inverses))
 
     @cached_property
     def inverses(self) -> tuple[Matrix | None, ...]:
-        """Each facet's integer inverse: ``D`` where ``d = 1``, None where it is not unimodular."""
+        """Each facet's integer inverse: ``D`` where ``d = 1``, None where it is
+        not unimodular; a joined record's are formed from its factors when
+        first read (``_joined_inverses``)."""
+        if self.factors:
+            return _joined_inverses(self.factors, self.order)
         return tuple(None if dual is None or dual[0] != 1 else dual[1] for dual in self.duals)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FaceLattice):
+            return NotImplemented
+        return (
+            self.facets == other.facets
+            and self.offsets == other.offsets
+            and self.duals == other.duals
+        )
 
 
 @dataclass(frozen=True)
 class Factor:
     """One factor of a free sum: its ``points`` (ascending indices into the
     input), its dimension ``dim``, those points as ``vertices`` in the
-    factor's own coordinates, and its hull's record ``lattice`` over them.
+    factor's own coordinates, its hull's record ``lattice`` over them, and
+    the ``rows`` that lift a functional ``e`` on its coordinates to one on
+    the input's, ``e_1 rows[0] + ... + e_dim rows[dim - 1]`` (``_lift``).
     """
 
     points: tuple[int, ...]
     dim: int
     vertices: tuple[Vector, ...]
     lattice: FaceLattice
+    rows: Matrix
+
+
+def _lift(rows: Matrix, e: Sequence[int]) -> Vector:
+    """``sum_k e_k rows[k]``, skipping each zero ``e_k``; ``e`` must not be zero."""
+    out = None
+    for ek, row in zip(e, rows):
+        if ek:
+            term = row if ek == 1 else tuple(map(ek.__mul__, row))
+            out = term if out is None else tuple(map(add, out, term))
+    return out
+
+
+def _joins(parts: Sequence[Sequence[tuple[int, ...]]]) -> Iterator[list[int]]:
+    """Each join of one tuple from every one of two or more ``parts``, as a
+    sorted list, in the product order of the parts."""
+    joins = parts[0]
+    for part in parts[1:-1]:
+        joins = [a + b for a in joins for b in part]
+    return (sorted(a + b) for a, b in product(joins, parts[-1]))
+
+
+def _joined_inverses(factors: Sequence[Factor], order: Sequence[int]) -> tuple[Matrix, ...]:
+    """The facet inverses of the hull joined from ``factors``, facet ``k``
+    being the join at ``order[k]`` (``FaceLattice``).
+
+    Each factor facet's inverse rows are lifted to the input's coordinates
+    once (``_lift``).  Point ``w`` of the ``j``-th factor facet, counted
+    over all factors, has the code ``w s + j``, ``s`` the number of factor
+    facets, and its lifted row under that code; a join's codes, sorted,
+    are in the order of its points, so its inverse is their rows.
+    """
+    span = sum(len(f.lattice.facets) for f in factors)
+    lifted: dict[int, Vector] = {}
+    parts = []
+    j = 0
+    for f in factors:
+        part = []
+        for facet, inverse in zip(f.lattice.facets, f.lattice.inverses):
+            codes = tuple(f.points[x] * span + j for x in facet)
+            lifted.update(zip(codes, (_lift(f.rows, e) for e in inverse)))
+            part.append(codes)
+            j += 1
+        parts.append(part)
+    get = lifted.__getitem__
+    rows = [tuple(map(get, codes)) for codes in _joins(parts)]
+    return tuple(map(rows.__getitem__, order))
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -319,7 +405,7 @@ def _pivot_walk(
             (abs(x), ((1 if x > 0 else -1,),)) if len(idx) == 1 and (x := xs[idx[0]]) else None
             for idx in facets
         )
-        return FaceLattice(facets, offsets, duals), normals
+        return FaceLattice.walked(facets, offsets, duals), normals
     # each known facet as (points, normal, offset, dual basis or None until popped)
     found: dict[int, tuple[tuple[int, ...], Vector, int, DualBasis | None]] = {}
     registered: set[int] = set()  # ridges of just one known facet of n points
@@ -395,7 +481,7 @@ def _pivot_walk(
     known = sorted(found.values(), key=itemgetter(0))
     found.clear()  # the masks are not returned: free them before the record is built
     facets, normals, offsets, duals = (tuple(map(itemgetter(k), known)) for k in range(4))
-    return FaceLattice(facets, offsets, duals), normals
+    return FaceLattice.walked(facets, offsets, duals), normals
 
 
 def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
@@ -424,18 +510,24 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
     the hull lies in a unimodular facet cone at height at most 1, so it
     is a point of that facet or the origin, which is a loop.  Then the
     facets are the joins of one facet per factor (Batyrev, "On the
-    classification of smooth projective toric varieties", 1991).  A
-    join's points are the sorted union of its factor facets' points, and
-    its inverse rows are their factor rows, each lifted once per factor
-    facet to the input's coordinates through ``D``, at offset 1.  So the
-    record is exactly the whole walk's, at one sort of ``n`` rows per
-    facet instead of an exchange, and no normal is formed.  One
-    component, ``d != 1``, ``c = -1``, a one-vertex component (a loop or
-    a coloop) and any factor that fails those conditions give None, so
-    that the whole walk, and its failure details, decide every input
-    that is not a free sum of smooth Fano shapes.  The record keeps the
-    factors (``Factor``: points, coordinates and the factor walk's
-    record), for the factors' face fans.
+    classification of smooth projective toric varieties", 1991), each of
+    ``n`` points at offset 1, unimodular, and every point lies on one; the
+    shape conditions and validation read that off a record with factors
+    instead of scanning its facets.  A join's points are the sorted union
+    of its factor facets' points.  Only the facets are formed here, sorted,
+    with each one's place among the joins in the product order of the
+    factors' facets (``FaceLattice.order``): one sort of ``n`` points per
+    facet, and no normal.  Their inverses are formed when first read
+    (``_joined_inverses``): a join's rows are its factor facets' inverse
+    rows, each lifted once per factor facet to the input's coordinates as
+    a combination of the rows of ``D`` (``_lift``).  So the record equals
+    the whole walk's.  One component, ``d != 1``, ``c = -1``, a one-vertex
+    component (a loop or a coloop) and any factor that fails those
+    conditions give None, so that the whole walk, and its failure details,
+    decide every input that is not a free sum of smooth Fano shapes.  The
+    record keeps the factors (``Factor``: points, coordinates, the factor
+    walk's record and the rows of ``D`` that lift its functionals), for
+    the factors' face fans and the joined inverses.
     """
     (idx, _, c), dual, products = seed
     if dual is None or dual[0] != 1 or c != 1:
@@ -455,7 +547,6 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
         positions.setdefault(_find(root, i), []).append(k)
     rows = dual[1]
     factors = []
-    pairs = []  # each factor's facets as (point, lifted row) pairs
     for r, pts in members.items():
         ks = positions[r]
         n = len(ks)
@@ -467,26 +558,12 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
         lattice, _ = _pivot_walk(vertices, n, share)
         if None in lattice.inverses or set(lattice.offsets) != {1}:
             return None
-        factors.append(Factor(tuple(pts), n, vertices, lattice))
-        # rows ks of D as columns: a functional e on the factor's coordinates
-        # is block.e on the input's
-        block = tuple(zip(*(rows[k] for k in ks)))
-        points = (map(pts.__getitem__, f) for f in lattice.facets)
-        lifted = (tuple(mat_vec(block, e) for e in inverse) for inverse in lattice.inverses)
-        pairs.append([tuple(zip(f, lift)) for f, lift in zip(points, lifted)])
-    # the (point, lifted row) pairs of each join of all factors but the last
-    joins = pairs[0]
-    for lifts in pairs[1:-1]:
-        joins = [a + b for a in joins for b in lifts]
-    # (points, inverse) of each facet
-    cells = [tuple(zip(*sorted(a + b))) for a, b in product(joins, pairs[-1])]
-    del joins  # free the partial joins before the sort: 4.5 MiB of peak RSS at hexagon^7
-    cells.sort(key=itemgetter(0))
-    facets = tuple(map(itemgetter(0), cells))
-    # each pair gives way to its dual basis, so that the two are never all held at once
-    for k, (_, inverse) in enumerate(cells):
-        cells[k] = (1, inverse)
-    return FaceLattice(facets, (1,) * len(facets), tuple(cells), tuple(factors))
+        factors.append(Factor(tuple(pts), n, vertices, lattice, tuple(rows[k] for k in ks)))
+    parts = [[tuple(map(f.points.__getitem__, facet)) for facet in f.lattice.facets] for f in factors]
+    joins = list(map(tuple, _joins(parts)))
+    order = sorted(range(len(joins)), key=joins.__getitem__)
+    facets = tuple(map(joins.__getitem__, order))
+    return FaceLattice(facets, (1,) * len(facets), tuple(factors), order)
 
 
 @dataclass(frozen=True)
@@ -578,6 +655,9 @@ class FanoPolytope:
         four read the facet walk, with no elimination of their own: the
         first facet's search ends with the affine rank on a flat vertex
         set (``_first_facet``), and then the last three are not evaluated.
+        A record joined from factors passes the last three without a scan
+        of its facets: each has ``n`` points at offset 1, and every point
+        lies on one (``_free_sum_hull``).
         """
         n, verts = self.dim, self.vertices
         try:
@@ -590,11 +670,14 @@ class FanoPolytope:
                     for name in ("origin_interior", "simplicial", "vertices_extremal")
                 ),
             )
-        low = min(hull.offsets)
-        witness = min(
-            (_least_basis(pts, verts) for pts in hull.facets if len(pts) > n), default=None
-        )
-        loose = sorted(set(range(len(verts))).difference(*hull.facets))
+        if hull.factors:
+            low, witness, loose = 1, None, []
+        else:
+            low = min(hull.offsets)
+            witness = min(
+                (_least_basis(pts, verts) for pts in hull.facets if len(pts) > n), default=None
+            )
+            loose = sorted(set(range(len(verts))).difference(*hull.facets))
         return (
             _condition("full_dimensional", ""),
             _condition(
@@ -739,7 +822,9 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
     Fano definition needs no lattice-point enumeration.  A facet of ``n``
     points is unimodular iff it has an inverse, that is, iff the walk's
     dual basis has ``d = |det| = 1``; one through the origin (det 0) has
-    none.  So no determinant is computed here.
+    none.  So no determinant is computed here.  Every facet of a record
+    joined from factors is unimodular (``_free_sum_hull``), so its
+    inverses are not read.
     """
     verts, n = p.vertices, p.dim
     dup = sorted({v for v in verts if verts.count(v) > 1})
@@ -748,7 +833,7 @@ def validate_smooth_fano(p: FanoPolytope) -> ValidationReport:
     if shape[0].passed:
         hull = p._hull
         # a facet of n points through the origin has det 0 and no inverse
-        bad_facets = [
+        bad_facets = [] if hull.factors else [
             pts
             for pts, inverse in zip(hull.facets, hull.inverses)
             if len(pts) == n and inverse is None

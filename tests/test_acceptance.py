@@ -286,3 +286,18 @@ def test_criterion_18_whole_fan_collections_hexagon_power_five():
     assert relations == analyze(p).relations
     assert elapsed < 1.0, f"collections and relations took {elapsed:.2f}s"
     _report("18 whole-fan collections and relations of hexagon^5: 45 in under 1 s")
+
+
+def test_criterion_19_hexagon_power_six_image_analyze():
+    p = construct("product(hexagon,hexagon,hexagon,hexagon,hexagon,hexagon)")
+    rng = random.Random(19)
+    q = transformed_copy(p, random_unimodular(p.dim, rng), rng)
+    start = time.perf_counter()
+    report = analyze(q)
+    elapsed = time.perf_counter() - start
+    assert report.valid and len(report.relations) == 54
+    assert len(q._hull.facets) == 46656 and q._hull.factors
+    # analyze reads no inverse of the joined record, so none is formed
+    assert "inverses" not in q._hull.__dict__ and "duals" not in q._hull.__dict__
+    assert elapsed < 0.25, f"analyze took {elapsed:.2f}s"
+    _report("19 hexagon^6 image analyzed: 54 relations, no joined inverse formed, in under 0.25 s")

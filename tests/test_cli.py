@@ -154,6 +154,14 @@ class TestConstructCommand:
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_deeply_nested_spec_exits_three(self, capsys):
+        # 1200 nested products used to escape as a RecursionError with exit 1
+        spec = "product(" * 1200 + "hexagon" + ",hexagon)" * 1200
+        code = main(["construct", "--family", spec])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestEnumerateCommand:
     def test_emits_five_blocks(self, capsys):

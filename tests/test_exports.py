@@ -2,11 +2,15 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fanorank
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("bounds", "cli", "enum2d", "fan", "formats", "lattice", "mori", "polytope")
 
 
@@ -31,3 +35,38 @@ def test_traced_run_patches_and_restores_the_library():
     finally:
         spans.uninstall(patches)
     assert all(owner.__dict__[attr] is original for owner, attr, original in patches)
+
+
+# imports fanorank afresh, as the benchmark's set-up does (perfbench/run.py, load_library)
+FRESH_IMPORTS = """
+import gc, importlib, sys, weakref
+
+def load():
+    for name in [m for m in sys.modules if m == "fanorank" or m.startswith("fanorank.")]:
+        del sys.modules[name]
+    package = importlib.import_module("fanorank")
+    for layer in {layers!r}:
+        importlib.import_module("fanorank." + layer)
+    return package
+
+first = weakref.ref(load().polytope.FanoPolytope)
+load()
+gc.collect()
+sys.exit("an old copy of fanorank is still alive" if first() is not None else 0)
+"""
+
+
+def test_fresh_imports_leave_no_old_copy_alive():
+    """Once fanorank is imported afresh, nothing may keep the earlier copy
+    alive: a cache outside the library that holds a library object, such as
+    a ``typing`` alias naming a library class, would keep every old copy's
+    classes and add to the benchmark's peak memory."""
+    script = FRESH_IMPORTS.format(layers=LAYERS)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

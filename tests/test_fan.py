@@ -136,6 +136,29 @@ class TestPointLocation:
                 cols = tuple(zip(*(fan.generators[i] for i in cone)))
                 assert inverse == unimodular_inverse(cols), (p.name, cone)
 
+    def test_face_fan_reads_no_inverse_before_a_query(self):
+        """A face fan takes its record's inverses only when point location or
+        a star quotient first needs one, so a joined record forms none for
+        face queries."""
+        hexagon3 = construct("product(hexagon,hexagon,hexagon)")
+        shuffled = tuple(random.Random(9).sample(hexagon3.vertices, 18))
+        members = [(6, hexagon3.vertices, True), (6, shuffled, True)]
+        members.append((*NON_PRODUCTS[sorted(NON_PRODUCTS)[0]], False))
+        queries = (
+            lambda fan: fan.minimal_cone_containing((1,) * fan.dim),
+            lambda fan: fan.star_quotient(fan.max_cones[0][:1]),
+        )
+        for dim, verts, joined in members:
+            for query in queries:
+                p = FanoPolytope(dim, verts)
+                fan = Fan.from_polytope(p)
+                assert bool(p.face_lattice.factors) is joined
+                assert fan.is_cone(fan.max_cones[-1]) and fan.faces_over(fan.full_mask, [0])
+                assert "_inverses" not in fan.__dict__
+                assert "inverses" not in p.face_lattice.__dict__
+                query(fan)
+                assert fan.__dict__["_inverses"] is p.face_lattice.inverses
+
     def test_non_unimodular_cones_stay_lazy(self):
         p = FanoPolytope(2, ((1, 0), (0, 1), (-1, -2)))
         fan = Fan.from_polytope(p)

@@ -172,6 +172,22 @@ class TestConstruct:
         with pytest.raises(FamilySpecError, match="over 10000000"):
             construct(spec)
 
+    @pytest.mark.parametrize("leaf", ["hexagon", "simplex:1"])
+    def test_nesting_deeper_than_the_limit_refused(self, leaf):
+        # 1200 levels used to end in a RecursionError
+        for depth in (formats.MAX_SPEC_DEPTH + 1, 1200):
+            spec = "product(" * depth + leaf + f",{leaf})" * depth
+            with pytest.raises(FamilySpecError, match=f"nested {depth} deep"):
+                construct(spec)
+        with pytest.raises(FamilySpecError, match="nested 1200 deep"):
+            construct("product(" * 1200 + leaf)
+
+    def test_nesting_up_to_the_limit_builds(self):
+        depth = formats.MAX_SPEC_DEPTH
+        p = construct("product(" * depth + "simplex:1" + ",simplex:1)" * depth)
+        assert (p.dim, len(p.vertices)) == (depth + 1, 2 * (depth + 1))
+        assert p.name == "product(" * depth + "simplex:1" + ",simplex:1)" * depth
+
     def test_size_limit_is_on_dimension_times_vertex_count(self, monkeypatch):
         _, dim, count, _ = formats._parse_spec("simplex:3000", 0)
         assert dim * count == 9_003_000 <= formats.MAX_SPEC_ENTRIES

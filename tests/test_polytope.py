@@ -586,6 +586,75 @@ class TestFreeSumHull:
 
 
 @pytest.fixture
+def lifts(monkeypatch):
+    """Counts the rows that joined records lift, ``_lift`` calls, which
+    happen only while a joined record forms its inverses."""
+    count = SimpleNamespace(calls=0)
+    lift = polytope._lift
+
+    def counted(rows, e):
+        count.calls += 1
+        return lift(rows, e)
+
+    monkeypatch.setattr(polytope, "_lift", counted)
+    return count
+
+
+class TestJoinedInversesOnDemand:
+    """A joined record forms its inverses only when they are read, from its
+    factors, and then equals the whole walk's record."""
+
+    def members(self):
+        rng = random.Random(19)
+        for spec in ("product(hexagon,hexagon,hexagon)", "product(simplex:2,hexagon,simplex:1)"):
+            p = construct(spec)
+            yield p
+            for _ in range(2):
+                yield transformed_copy(p, random_unimodular(p.dim, rng), rng)
+
+    def test_analyze_forms_no_joined_inverse(self, lifts):
+        for p in self.members():
+            report = analyze(p)
+            hull = p._hull
+            assert report.valid and hull.factors, p.name
+            assert lifts.calls == 0, p.name
+            assert "inverses" not in hull.__dict__ and "duals" not in hull.__dict__, p.name
+            # read now: formed from the factors, and the whole walk's
+            assert None not in hull.inverses and lifts.calls > 0, p.name
+            assert hull == whole_walk(p)[0], p.name
+            lifts.calls = 0
+
+    def test_report_reads_no_facet_of_a_joined_record(self):
+        """Validation reads the shape conditions and unimodularity off the
+        factors: every facet of the joined record is then replaced by one
+        of more than n points through the origin, and the report is
+        unchanged."""
+        for p in self.members():
+            want = validate_smooth_fano(FanoPolytope(p.dim, p.vertices, p.name))
+            hull = p._hull
+            bad = polytope.FaceLattice(
+                (tuple(range(p.dim + 1)),) * len(hull.facets),
+                (0,) * len(hull.offsets),
+                hull.factors,
+                hull.order,
+            )
+            bad.__dict__["inverses"] = (None,) * len(hull.facets)
+            p.__dict__["_hull"] = bad
+            assert validate_smooth_fano(p) == want and want.passed, p.name
+
+    def test_shape_scans_a_record_without_factors(self):
+        p = construct("product(hexagon,hexagon)")
+        hull = whole_walk(p)[0]
+        # the whole walk's facets with one point dropped from all of them: that
+        # point lies on no facet
+        p.__dict__["_hull"] = polytope.FaceLattice.walked(
+            tuple(tuple(i for i in f if i != 0) for f in hull.facets), hull.offsets, hull.duals
+        )
+        extremal = validate_smooth_fano(p).conditions[5]
+        assert extremal.name == "vertices_extremal" and not extremal.passed
+
+
+@pytest.fixture
 def walk_pivots(monkeypatch):
     """Counts the widest pivots of the facet walk, leaving out those that
     ``_first_facet`` takes to reach the first facet."""
