@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fan import Fan
-from .lattice import InternalInconsistencyError
+from .lattice import InternalInconsistencyError, Vector
 from .mori import (
     MinimalComponent,
     PrimitiveRelation,
@@ -35,7 +35,7 @@ from .mori import (
     primitive_collections,
     primitive_relation,
 )
-from .polytope import FanoPolytope, ValidationReport, validate_smooth_fano
+from .polytope import Factor, FanoPolytope, ValidationReport, validate_smooth_fano
 
 WEAK_CAPS = {0: 1, 1: 3, 2: 5}
 
@@ -147,18 +147,27 @@ def check_weak(fan: Fan, components=None) -> tuple[BoundCheck, ...]:
     return tuple(out)
 
 
-def _factor_fans(p: FanoPolytope, fan: Fan) -> list[tuple[Sequence[int], Fan]]:
-    """(input indices of its rays, fan) for each factor of a valid ``p``.
+def _factor_fans(p: FanoPolytope, fan: Fan) -> list[tuple[list[Sequence[int]], Fan]]:
+    """(input indices of its rays in each copy, fan) for each distinct factor
+    of a valid ``p``.
 
-    A hull joined from its factors keeps them (``FaceLattice.factors``),
-    and each factor's fan is built from its own record, with the factor's
-    points as rays; a polytope that does not split is its own one factor,
-    on the whole fan ``fan``.
+    A hull joined from its factors keeps them (``FaceLattice.factors``).
+    Factors with the same points in their own coordinates
+    (``Factor.vertices``) share one record, and so one fan, built from
+    that record with those points as rays; each copy keeps its own
+    indices.  A polytope that does not split is its own one factor, on
+    the whole fan ``fan``.
     """
     factors = p.face_lattice.factors
     if not factors:
-        return [(range(len(p.vertices)), fan)]
-    return [(f.points, Fan._from_record(f.dim, f.vertices, f.lattice)) for f in factors]
+        return [([range(len(p.vertices))], fan)]
+    copies: dict[tuple[Vector, ...], list[Factor]] = {}
+    for f in factors:
+        copies.setdefault(f.vertices, []).append(f)
+    return [
+        ([f.points for f in fs], Fan._from_record(fs[0].dim, fs[0].vertices, fs[0].lattice))
+        for fs in copies.values()
+    ]
 
 
 def analyze(p: FanoPolytope) -> AnalysisReport:
@@ -168,13 +177,16 @@ def analyze(p: FanoPolytope) -> AnalysisReport:
     its factors (Batyrev, "On the classification of smooth projective
     toric varieties", 1991): a factor's generator sum lies in its own
     coordinates, so its minimal cone is a cone of that factor.  So they
-    are enumerated on each factor's fan (``_factor_fans``), their indices
-    mapped back to the input's, and sorted by size, then
-    lexicographically, as ``primitive_collections`` orders them.  The
-    whole fan is built once; the checks read its dimension and Picard
-    rank, and every codegree is taken in the whole dimension.  Invalid
-    input produces a report with the failure flags set and empty
-    relation, component and check lists; it never raises.
+    are enumerated once on each distinct factor's fan (``_factor_fans``),
+    and their indices mapped back to the input's in every copy of that
+    factor.  A factor's points are not in index order (``Factor``), so
+    each collection and each right-hand side is sorted in the input's
+    indices, and the relations by size, then lexicographically, as
+    ``primitive_collections`` orders them.  The whole fan is built once;
+    the checks read its dimension and Picard rank, and every codegree is
+    taken in the whole dimension.  Invalid input produces a report with
+    the failure flags set and empty relation, component and check lists;
+    it never raises.
     """
     report = validate_smooth_fano(p)
     m = len(p.vertices)
@@ -185,16 +197,17 @@ def analyze(p: FanoPolytope) -> AnalysisReport:
         )
     fan = Fan.from_polytope(p)
     found = []
-    for points, sub in _factor_fans(p, fan):
+    for copies, sub in _factor_fans(p, fan):
         for pc in primitive_collections(sub):
             r = primitive_relation(sub, pc)
-            found.append(
-                PrimitiveRelation(
-                    tuple(points[i] for i in r.collection),
-                    tuple((points[i], a) for i, a in r.rhs),
-                    r.degree,
+            for points in copies:
+                found.append(
+                    PrimitiveRelation(
+                        tuple(sorted(points[i] for i in r.collection)),
+                        tuple(sorted((points[i], a) for i, a in r.rhs)),
+                        r.degree,
+                    )
                 )
-            )
     relations = tuple(sorted(found, key=lambda r: (len(r.collection), r.collection)))
     # an empty right-hand side is exactly a zero-sum collection
     components = tuple(

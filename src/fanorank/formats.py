@@ -73,7 +73,7 @@ def parse_polytopes(text: str, source: str = "<string>") -> list[FanoPolytope]:
         if name is None:
             if keyword != "polytope":
                 raise ParseError(f"expected 'polytope', got {keyword!r}", source, lineno)
-            name = line[len("polytope") :].strip()
+            name, opened = line[len("polytope") :].strip(), lineno
             if not name:
                 raise ParseError("polytope block needs a name", source, lineno)
             if name in names:
@@ -106,7 +106,7 @@ def parse_polytopes(text: str, source: str = "<string>") -> list[FanoPolytope]:
         else:
             raise ParseError(f"unexpected keyword {keyword!r}", source, lineno)
     if name is not None:
-        raise ParseError(f"unterminated block {name!r}", source, 0)
+        raise ParseError(f"unterminated block {name!r}", source, opened)
     return polytopes
 
 

@@ -18,15 +18,17 @@ report's evidence against simpliciality comes from the facets it found.
 A free sum of smooth Fano shapes is not walked whole: the first facet's
 dual basis splits the vertices into the components of their linear
 matroid, each factor is walked in its own coordinates from its share of
-that facet, and the facets are the joins of the factors' facets.  So
-hexagon^k takes ``5k`` pivots for its ``6^k`` facets.  Every other
-input, an invalid free sum included, is walked whole from the same first
-facet.  Both paths give one record, ``FaceLattice``, which validation,
-the canonical form and the face fan read as it stands.  A joined record
-also keeps its factors: ``analyze`` enumerates the primitive collections
-on their own fans, validation reads the shape conditions and
-unimodularity off them, and the facet inverses are formed from them only
-when something reads them, as the canonical form and point location do.
+that facet, and the facets are the joins of the factors' facets.
+Factors with the same coordinates are walked once, so hexagon^k takes 5
+pivots for its ``6^k`` facets.  Every other input, an invalid free sum
+included, is walked whole from the same first facet.  Both paths give
+one record, ``FaceLattice``, which validation, the canonical form and
+the face fan read as it stands.  A joined record also keeps its
+factors: ``analyze`` enumerates the primitive collections on their own
+fans, once per distinct factor, validation reads the shape conditions
+and unimodularity off them, and the facet inverses are formed from them
+only when something reads them, as the canonical form and point location
+do.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class FaceLattice:
     D_n)`` is not kept.  A walk's record (``walked``) holds its dual bases
     from the start.  A hull joined from its factors (``_free_sum_hull``)
     keeps them in ``factors``, and ``order[k]`` is the place of facet ``k``
-    among the joins in the product order of the factors' facets; its
+    among the joins in the product order of the factors' facets, each
+    factor's in the order of their input indices (``_input_facets``); its
     inverses are formed from those (``_joined_inverses``) the first time
     ``inverses`` or ``duals`` is read, and validation and ``analyze`` read
     neither.  Two records are equal iff their facets, offsets and dual
@@ -131,11 +134,13 @@ class FaceLattice:
 
 @dataclass(frozen=True)
 class Factor:
-    """One factor of a free sum: its ``points`` (ascending indices into the
-    input), its dimension ``dim``, those points as ``vertices`` in the
-    factor's own coordinates, its hull's record ``lattice`` over them, and
-    the ``rows`` that lift a functional ``e`` on its coordinates to one on
-    the input's, ``e_1 rows[0] + ... + e_dim rows[dim - 1]`` (``_lift``).
+    """One factor of a free sum: its ``points`` (indices into the input),
+    its dimension ``dim``, those points as ``vertices`` in the factor's own
+    coordinates, its hull's record ``lattice`` over them, and the ``rows``
+    that lift a functional ``e`` on its coordinates to one on the input's,
+    ``e_1 rows[0] + ... + e_dim rows[dim - 1]`` (``_lift``).  The points
+    are ordered by their coordinates, largest first, not by index, so
+    factors with the same ``vertices`` share one ``lattice``.
     """
 
     points: tuple[int, ...]
@@ -164,25 +169,38 @@ def _joins(parts: Sequence[Sequence[tuple[int, ...]]]) -> Iterator[list[int]]:
     return (sorted(a + b) for a, b in product(joins, parts[-1]))
 
 
+def _input_facets(f: Factor) -> list[tuple[tuple[int, ...], int]]:
+    """Each facet of ``f`` as its points' input indices, ascending, with its
+    place in ``f.lattice``, in lexicographic order: the joins of factors in
+    that order come out nearly sorted, and those of a free sum written
+    factor by factor come out sorted."""
+    return sorted(
+        (tuple(sorted(map(f.points.__getitem__, facet))), k)
+        for k, facet in enumerate(f.lattice.facets)
+    )
+
+
 def _joined_inverses(factors: Sequence[Factor], order: Sequence[int]) -> tuple[Matrix, ...]:
     """The facet inverses of the hull joined from ``factors``, facet ``k``
     being the join at ``order[k]`` (``FaceLattice``).
 
     Each factor facet's inverse rows are lifted to the input's coordinates
     once (``_lift``).  Point ``w`` of the ``j``-th factor facet, counted
-    over all factors, has the code ``w s + j``, ``s`` the number of factor
-    facets, and its lifted row under that code; a join's codes, sorted,
-    are in the order of its points, so its inverse is their rows.
+    over all factors in the order of ``_input_facets``, has the code
+    ``w s + j``, ``s`` the number of factor facets, and its lifted row
+    under that code; a join's codes, sorted, are in the order of its
+    points, so its inverse is their rows.
     """
     span = sum(len(f.lattice.facets) for f in factors)
     lifted: dict[int, Vector] = {}
     parts = []
     j = 0
     for f in factors:
+        facets, inverses = f.lattice.facets, f.lattice.inverses
         part = []
-        for facet, inverse in zip(f.lattice.facets, f.lattice.inverses):
-            codes = tuple(f.points[x] * span + j for x in facet)
-            lifted.update(zip(codes, (_lift(f.rows, e) for e in inverse)))
+        for _, k in _input_facets(f):
+            codes = tuple(f.points[x] * span + j for x in facets[k])
+            lifted.update(zip(codes, (_lift(f.rows, e) for e in inverses[k])))
             part.append(codes)
             j += 1
         parts.append(part)
@@ -502,7 +520,11 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
     products, so no factor runs a search or an elimination.  A factor of
     two or more points holds a point off the seed's facet, as the only
     facet points in no other point's circuit are coloops, so it is
-    full-dimensional and its walk ends.
+    full-dimensional and its walk ends.  Each factor's points are ordered
+    by their coordinates, largest first, which keeps its share of the seed,
+    ``e_1, ..., e_k``, in index order; factors with the same coordinates,
+    such as the hexagons of hexagon^k, are walked once and share that
+    record, so hexagon^k takes 5 pivots.
 
     When every factor facet is unimodular (it has an inverse, so ``n_i``
     points and ``d = 1``) at offset 1, the origin is interior to every
@@ -516,18 +538,21 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
     instead of scanning its facets.  A join's points are the sorted union
     of its factor facets' points.  Only the facets are formed here, sorted,
     with each one's place among the joins in the product order of the
-    factors' facets (``FaceLattice.order``): one sort of ``n`` points per
-    facet, and no normal.  Their inverses are formed when first read
+    factors' facets, taken in the order of their input indices
+    (``_input_facets``, ``FaceLattice.order``): one sort of ``n`` points
+    per facet, and no normal.  Their inverses are formed when first read
     (``_joined_inverses``): a join's rows are its factor facets' inverse
     rows, each lifted once per factor facet to the input's coordinates as
     a combination of the rows of ``D`` (``_lift``).  So the record equals
     the whole walk's.  One component, ``d != 1``, ``c = -1``, a one-vertex
     component (a loop or a coloop) and any factor that fails those
     conditions give None, so that the whole walk, and its failure details,
-    decide every input that is not a free sum of smooth Fano shapes.  The
-    record keeps the factors (``Factor``: points, coordinates, the factor
-    walk's record and the rows of ``D`` that lift its functionals), for
-    the factors' face fans and the joined inverses.
+    decide every input that is not a free sum of smooth Fano shapes; those
+    conditions are read once per distinct walk.  The record keeps the
+    factors (``Factor``: points, coordinates, the factor walk's record and
+    the rows of ``D`` that lift its functionals), for the factors' face
+    fans and the joined inverses.  The joins and their inverses are keyed
+    by input index, so the order of a factor's points does not reach them.
     """
     (idx, _, c), dual, products = seed
     if dual is None or dual[0] != 1 or c != 1:
@@ -546,20 +571,24 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
     for k, i in enumerate(idx):
         positions.setdefault(_find(root, i), []).append(k)
     rows = dual[1]
+    walks: dict[tuple[Vector, ...], FaceLattice] = {}
     factors = []
     for r, pts in members.items():
         ks = positions[r]
         n = len(ks)
-        coords = tuple(tuple(products[k][w] for w in pts) for k in ks)
-        where = {w: j for j, w in enumerate(pts)}
-        first = (tuple(where[idx[k]] for k in ks), (1,) * n, 1)
-        share = (first, (1, identity_matrix(n)), coords)
-        vertices = tuple(zip(*coords))
-        lattice, _ = _pivot_walk(vertices, n, share)
-        if None in lattice.inverses or set(lattice.offsets) != {1}:
-            return None
-        factors.append(Factor(tuple(pts), n, vertices, lattice, tuple(rows[k] for k in ks)))
-    parts = [[tuple(map(f.points.__getitem__, facet)) for facet in f.lattice.facets] for f in factors]
+        vertices, points = zip(
+            *sorted(((tuple(products[k][w] for k in ks), w) for w in pts), reverse=True)
+        )
+        lattice = walks.get(vertices)
+        if lattice is None:
+            where = {w: j for j, w in enumerate(points)}
+            first = (tuple(where[idx[k]] for k in ks), (1,) * n, 1)
+            share = (first, (1, identity_matrix(n)), tuple(zip(*vertices)))
+            lattice = walks[vertices] = _pivot_walk(vertices, n, share)[0]
+            if None in lattice.inverses or set(lattice.offsets) != {1}:
+                return None
+        factors.append(Factor(points, n, vertices, lattice, tuple(rows[k] for k in ks)))
+    parts = [[pts for pts, _ in _input_facets(f)] for f in factors]
     joins = list(map(tuple, _joins(parts)))
     order = sorted(range(len(joins)), key=joins.__getitem__)
     facets = tuple(map(joins.__getitem__, order))

@@ -24,6 +24,19 @@ from helpers import NON_PRODUCTS, random_unimodular, transformed_copy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# a smooth Fano 4-polytope that does not split, whose relation
+# {1, 2, 6} -> 3 + 4 has two right-hand terms
+Q = FanoPolytope(
+    4,
+    (
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+        (-1, 0, 0, 0), (-1, 0, 0, -1), (-1, -1, -1, 1),
+    ),
+    "Q",
+)
+# the del Pezzo surface of degree 7
+DP7 = FanoPolytope(2, ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0)), "dp7")
+
 
 def fan_of(p):
     return Fan.from_polytope(p)
@@ -197,14 +210,66 @@ class TestAnalyze:
             for p in members[: len(corpus)]
             for _ in range(2)
         ]
+        # relations with two right-hand terms inside a factor, in every copy
+        for p in (free_sum(Q, Q), free_sum(Q, hexagon())):
+            members += [p] + [transformed_copy(p, random_unimodular(p.dim, rng), rng) for _ in range(2)]
         members += [FanoPolytope(d, v, n) for n, (d, v) in NON_PRODUCTS.items()]
         for p in members:
-            rep = analyze(p)
-            fan = Fan.from_polytope(p)
-            whole = tuple(primitive_relation(fan, pc) for pc in primitive_collections(fan))
-            assert rep.valid, p.name
-            assert rep.relations == whole, p.name
-            assert rep.components == minimal_components(fan), p.name
+            assert_relations_match_the_whole_fan(p)
+
+    def test_each_distinct_factor_enumerated_once(self, monkeypatch):
+        """Factors with the same points in their own coordinates share one
+        fan: hexagon^3 and simplex:4^3 enumerate one factor's collections,
+        9 and 1, in every seeded image."""
+        calls = []
+        collections, relation = mori.primitive_collections, mori.primitive_relation
+
+        def counted_collections(fan):
+            calls.append(("collections", fan))
+            return collections(fan)
+
+        def counted_relation(fan, pc):
+            calls.append(("relation", fan))
+            return relation(fan, pc)
+
+        monkeypatch.setattr(bounds, "primitive_collections", counted_collections)
+        monkeypatch.setattr(bounds, "primitive_relation", counted_relation)
+        rng = random.Random(20)
+        for spec, count in (
+            ("product(hexagon,hexagon,hexagon)", 9),
+            ("product(simplex:4,simplex:4,simplex:4)", 1),
+        ):
+            p = construct(spec)
+            for q in [p] + [transformed_copy(p, random_unimodular(p.dim, rng), rng) for _ in range(2)]:
+                calls.clear()
+                rep = analyze(q)
+                assert rep.valid and len(rep.relations) == 3 * count, q.name
+                assert len({id(fan) for _, fan in calls}) == 1, q.name
+                assert [kind for kind, _ in calls] == ["collections"] + ["relation"] * count, q.name
+                assert calls[0][1].dim == p.dim // 3, q.name
+
+    def test_identical_factors_share_one_record(self):
+        """The two hexagons of hexagon + dp7 + hexagon share one walk's record,
+        and dp7 has its own; the reports are the whole fan's."""
+        rng = random.Random(21)
+        p = free_sum(free_sum(hexagon(), DP7), hexagon())
+        for q in [p] + [transformed_copy(p, random_unimodular(p.dim, rng), rng) for _ in range(2)]:
+            factors = q.face_lattice.factors
+            hexagons = {id(f.lattice) for f in factors if len(f.points) == 6}
+            assert len(factors) == 3 and len(hexagons) == 1, q.name
+            assert len({id(f.lattice) for f in factors}) == 2, q.name
+            assert_relations_match_the_whole_fan(q)
+
+
+def assert_relations_match_the_whole_fan(p):
+    """``analyze``'s relations and components are those enumerated on the
+    whole face fan."""
+    rep = analyze(p)
+    fan = Fan.from_polytope(p)
+    whole = tuple(primitive_relation(fan, pc) for pc in primitive_collections(fan))
+    assert rep.valid, p.name
+    assert rep.relations == whole, p.name
+    assert rep.components == minimal_components(fan), p.name
 
 
 class TestInvariants:

@@ -51,6 +51,14 @@ class TestValidateCommand:
         records = json.loads(out)
         assert [r["passed"] for r in records] == [True, True, False]
 
+    def test_unterminated_block_names_its_opening_line(self, capsys, tmp_path):
+        bad = tmp_path / "u.poly"
+        bad.write_text("polytope a\ndim 2\nv 1 0\n", encoding="utf-8")
+        code = main(["validate", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {bad}:1: unterminated block 'a'\n"
+
 
 class TestAnalyzeCommand:
     def test_reports(self, capsys, sample_file):

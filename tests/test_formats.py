@@ -74,8 +74,13 @@ class TestParse:
             parse_polytopes(text)
 
     def test_unterminated_block(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_polytopes("polytope p\ndim 1\nv 1\n")
+        assert info.value.line == 1
+        # the line of the ``polytope`` keyword that opened the block
+        with pytest.raises(ParseError) as info:
+            parse_polytopes("polytope a\ndim 1\nv 1\nv -1\nend\n\n# b\npolytope b\ndim 1\nv 1\n")
+        assert info.value.line == 8 and str(info.value) == "<string>:8: unterminated block 'b'"
 
     def test_round_trip_identity(self):
         for p in (simplex(3), hexagon(), construct("product(simplex:1,hexagon)")):
