@@ -15,25 +15,26 @@ finishes every full-dimensional input: a facet that holds more than
 ``n`` points, or whose hyperplane passes through the origin, has its
 ridges found by the same walk one dimension down, so the validation
 report's evidence against simpliciality comes from the facets it found.
-A free sum of smooth Fano shapes is not walked whole: the first facet's
-dual basis splits the vertices into the components of their linear
-matroid, each factor is walked in its own coordinates from its share of
-that facet, and the facets are the joins of the factors' facets.
-Factors with the same coordinates are walked once, so hexagon^k takes 5
-pivots for its ``6^k`` facets.  Every other input, an invalid free sum
-included, is walked whole from the same first facet.  Both paths give
-one record, ``FaceLattice``, which validation, the canonical form and
-the face fan read as it stands.  A joined record also keeps its
-factors: ``analyze`` enumerates the primitive collections on their own
-fans, once per distinct factor, validation reads the shape conditions
-and unimodularity off them, and the facet inverses are formed from them
-only when something reads them, as the canonical form and point location
-do.
+The walks of one hull share one table keyed by their points, so no point
+list is walked twice for it.  A free sum of smooth Fano shapes is not
+walked whole: the first facet's dual basis splits the vertices into the
+components of their linear matroid, each factor is walked in its own
+coordinates from its share of that facet, and the facets are the joins
+of the factors' facets, in the product order of those facets.  Factors
+with the same coordinates are walked once, so hexagon^k takes 5 pivots
+for its ``6^k`` facets.  Every other input, an invalid free sum
+included, is walked whole from the same first facet, and its facets are
+sorted.  Both paths give one record, ``FaceLattice``, which validation,
+the canonical form and the face fan read as it stands, in whichever
+order it holds its facets.  A joined record also keeps its factors:
+``analyze`` enumerates the primitive collections on their own fans, once
+per distinct factor, validation reads the shape conditions and
+unimodularity off them, and the facet inverses are formed from them only
+when something reads them, as the canonical form and point location do.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, permutations, product, repeat
@@ -78,14 +79,15 @@ class FaceLattice:
     normal ``u`` and ``duals[k]`` its dual basis (``DualBasis``), or None
     unless it has ``n`` points off the origin; ``u = (c / d) (D_1 + ... +
     D_n)`` is not kept.  A walk's record (``walked``) holds its dual bases
-    from the start.  A hull joined from its factors (``_free_sum_hull``)
-    keeps them in ``factors``, and ``order[k]`` is the place of facet ``k``
-    among the joins in the product order of the factors' facets, each
-    factor's in the order of their input indices (``_input_facets``); its
-    inverses are formed from those (``_joined_inverses``) the first time
-    ``inverses`` or ``duals`` is read, and validation and ``analyze`` read
-    neither.  Two records are equal iff their facets, offsets and dual
-    bases are, formed if need be; ``factors`` and ``order`` take no part.
+    from the start, and its facets in lexicographic order.  A hull joined
+    from its factors (``_free_sum_hull``) keeps them in ``factors`` and
+    holds its facets in the product order of the factors' facets, last
+    factor fastest, each factor's in its own record's order; its inverses
+    are formed from the factors, in that order (``_joined_inverses``), the
+    first time ``inverses`` or ``duals`` is read, and validation and
+    ``analyze`` read neither.  Two records are equal iff they hold the same
+    facets, each with the same offset and dual basis, formed if need be,
+    in any order; ``factors`` takes no part.
     ``face_lattice`` is ``FanoPolytope._hull`` once the shape conditions
     hold.  Face queries go through the face fan:
     ``Fan.from_polytope(p).is_cone``.
@@ -94,7 +96,6 @@ class FaceLattice:
     facets: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
     factors: tuple[Factor, ...] = field(default=(), repr=False)
-    order: Sequence[int] = field(default=(), repr=False)
 
     @classmethod
     def walked(
@@ -119,17 +120,21 @@ class FaceLattice:
         not unimodular; a joined record's are formed from its factors when
         first read (``_joined_inverses``)."""
         if self.factors:
-            return _joined_inverses(self.factors, self.order)
+            return _joined_inverses(self.factors)
         return tuple(None if dual is None or dual[0] != 1 else dual[1] for dual in self.duals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaceLattice):
             return NotImplemented
-        return (
-            self.facets == other.facets
-            and self.offsets == other.offsets
-            and self.duals == other.duals
+        return sorted(zip(self.facets, self.offsets, self.duals)) == sorted(
+            zip(other.facets, other.offsets, other.duals)
         )
+
+
+# a walk's record and its facets' normals (``_pivot_walk``), and the walks of
+# one hull, keyed by their points (``FanoPolytope._hull``)
+Walk = tuple[FaceLattice, tuple[Vector, ...]]
+Walks = dict[tuple[Vector, ...], Walk]
 
 
 @dataclass(frozen=True)
@@ -169,44 +174,31 @@ def _joins(parts: Sequence[Sequence[tuple[int, ...]]]) -> Iterator[list[int]]:
     return (sorted(a + b) for a, b in product(joins, parts[-1]))
 
 
-def _input_facets(f: Factor) -> list[tuple[tuple[int, ...], int]]:
-    """Each facet of ``f`` as its points' input indices, ascending, with its
-    place in ``f.lattice``, in lexicographic order: the joins of factors in
-    that order come out nearly sorted, and those of a free sum written
-    factor by factor come out sorted."""
-    return sorted(
-        (tuple(sorted(map(f.points.__getitem__, facet))), k)
-        for k, facet in enumerate(f.lattice.facets)
-    )
-
-
-def _joined_inverses(factors: Sequence[Factor], order: Sequence[int]) -> tuple[Matrix, ...]:
-    """The facet inverses of the hull joined from ``factors``, facet ``k``
-    being the join at ``order[k]`` (``FaceLattice``).
+def _joined_inverses(factors: Sequence[Factor]) -> tuple[Matrix, ...]:
+    """The facet inverses of the hull joined from ``factors``, in the
+    product order of their facets, as ``_free_sum_hull`` lists the facets.
 
     Each factor facet's inverse rows are lifted to the input's coordinates
     once (``_lift``).  Point ``w`` of the ``j``-th factor facet, counted
-    over all factors in the order of ``_input_facets``, has the code
-    ``w s + j``, ``s`` the number of factor facets, and its lifted row
-    under that code; a join's codes, sorted, are in the order of its
-    points, so its inverse is their rows.
+    over all factors in their records' order, has the code ``w s + j``,
+    ``s`` the number of factor facets, and its lifted row under that code;
+    a join's codes, sorted, are in the order of its points, so its inverse
+    is their rows.
     """
     span = sum(len(f.lattice.facets) for f in factors)
     lifted: dict[int, Vector] = {}
     parts = []
     j = 0
     for f in factors:
-        facets, inverses = f.lattice.facets, f.lattice.inverses
         part = []
-        for _, k in _input_facets(f):
-            codes = tuple(f.points[x] * span + j for x in facets[k])
-            lifted.update(zip(codes, (_lift(f.rows, e) for e in inverses[k])))
+        for facet, inverse in zip(f.lattice.facets, f.lattice.inverses):
+            codes = tuple(f.points[x] * span + j for x in facet)
+            lifted.update(zip(codes, (_lift(f.rows, e) for e in inverse)))
             part.append(codes)
             j += 1
         parts.append(part)
     get = lifted.__getitem__
-    rows = [tuple(map(get, codes)) for codes in _joins(parts)]
-    return tuple(map(rows.__getitem__, order))
+    return tuple(tuple(map(get, codes)) for codes in _joins(parts))
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -301,23 +293,27 @@ def _first_facet(verts: Sequence[Vector], n: int) -> Facet:
 
 
 def _lifted_ridges(
-    verts: Sequence[Vector], n: int, idx: tuple[int, ...], u: Vector
+    verts: Sequence[Vector], n: int, idx: tuple[int, ...], u: Vector, walks: Walks
 ) -> Iterator[tuple[int, Vector, int]]:
     """(ridge mask, v, delta) for each ridge of the facet ``idx`` with normal ``u``.
 
     The facet is walked one dimension down.  Dropping a coordinate where
     ``u`` is nonzero maps its hyperplane affinely onto ``Q^(n-1)``, and
     the image is scaled about the facet's centroid, so that no facet of
-    the image passes through its origin.  Each facet ``w.y <= d`` of the
-    image lifts to ``v = w`` with a zero at the dropped coordinate:
-    ``v.x = delta`` holds on the ridge's points and ``v.x < delta`` on
-    the facet's other points.
+    the image passes through its origin; its walk is read from ``walks``,
+    the hull's table of walks by their points, or run and kept there.  Each
+    facet ``w.y <= d`` of the image lifts to ``v = w`` with a zero at the
+    dropped coordinate: ``v.x = delta`` holds on the ridge's points and
+    ``v.x < delta`` on the facet's other points.
     """
     j = next(k for k, x in enumerate(u) if x)
     pts = [verts[i][:j] + verts[i][j + 1 :] for i in idx]
     total = [sum(col) for col in zip(*pts)]
-    image = [tuple(len(pts) * x - t for x, t in zip(p, total)) for p in pts]
-    lattice, normals = _pivot_walk(image, n - 1)
+    image = tuple(tuple(len(pts) * x - t for x, t in zip(p, total)) for p in pts)
+    walk = walks.get(image)
+    if walk is None:
+        walk = walks[image] = _pivot_walk(image, n - 1, walks)
+    lattice, normals = walk
     for ridge, w in zip(lattice.facets, normals):
         v = w[:j] + (0,) + w[j:]
         yield sum(1 << idx[s] for s in ridge), v, _dot(v, verts[idx[ridge[0]]])
@@ -370,9 +366,7 @@ def _seed(verts: Sequence[Vector], n: int) -> Seed:
     return first, dual, tuple(tuple(_dot(row, vert) for vert in verts) for row in dual[1])
 
 
-def _pivot_walk(
-    verts: Sequence[Vector], n: int, seed: Seed | None = None
-) -> tuple[FaceLattice, tuple[Vector, ...]]:
+def _pivot_walk(verts: Sequence[Vector], n: int, walks: Walks, seed: Seed | None = None) -> Walk:
     """Every facet hyperplane of a full-dimensional hull, by crossing each open ridge once.
 
     A facet is all points on its hyperplane, so a non-simplicial facet or
@@ -406,9 +400,11 @@ def _pivot_walk(
     pivot may land on a facet already known.  In dimension 1 the facets
     are the least and the largest point, each with its copies, the dual
     basis of a one-point facet is read off its point, and the seed is not
-    read.  Returns the hull's record (``FaceLattice``) and, in the same
-    order, the facets' normals, which only the walk one dimension up
-    reads.  Flat points raise NotFanoShapeError with their affine rank.
+    read.  The nested walks are shared through ``walks``, the table of
+    walks by their points that ``FanoPolytope._hull`` makes for one hull.
+    Returns the hull's record (``FaceLattice``) and, in the same order, the
+    facets' normals, which only the walk one dimension up reads.  Flat
+    points raise NotFanoShapeError with their affine rank.
     """
     if n == 1:
         xs = [x for x, in verts]
@@ -478,7 +474,7 @@ def _pivot_walk(
             heights = [c - _dot(u, vert) for vert in verts]
             ridges = (
                 (ridge, v, delta, [_dot(v, vert) - delta for vert in verts], None)
-                for ridge, v, delta in _lifted_ridges(verts, n, idx, u)
+                for ridge, v, delta in _lifted_ridges(verts, n, idx, u, walks)
                 if ridge not in closed
             )
         below = [(w, a) for w, a in enumerate(heights) if not mask >> w & 1]
@@ -502,7 +498,7 @@ def _pivot_walk(
     return FaceLattice.walked(facets, offsets, duals), normals
 
 
-def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
+def _free_sum_hull(verts: Sequence[Vector], seed: Seed, walks: Walks) -> FaceLattice | None:
     """The hull of a free sum, joined from its factors' hulls; None unless it
     splits into factors of smooth Fano shape.
 
@@ -536,19 +532,20 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
     ``n`` points at offset 1, unimodular, and every point lies on one; the
     shape conditions and validation read that off a record with factors
     instead of scanning its facets.  A join's points are the sorted union
-    of its factor facets' points.  Only the facets are formed here, sorted,
-    with each one's place among the joins in the product order of the
-    factors' facets, taken in the order of their input indices
-    (``_input_facets``, ``FaceLattice.order``): one sort of ``n`` points
-    per facet, and no normal.  Their inverses are formed when first read
+    of its factor facets' points.  Only the facets are formed here, in the
+    product order of the factors' facets, each factor's in its record's
+    order: one sort of ``n`` points per facet, and no normal.  Their
+    inverses are formed when first read, in the same order
     (``_joined_inverses``): a join's rows are its factor facets' inverse
     rows, each lifted once per factor facet to the input's coordinates as
     a combination of the rows of ``D`` (``_lift``).  So the record equals
-    the whole walk's.  One component, ``d != 1``, ``c = -1``, a one-vertex
-    component (a loop or a coloop) and any factor that fails those
-    conditions give None, so that the whole walk, and its failure details,
-    decide every input that is not a free sum of smooth Fano shapes; those
-    conditions are read once per distinct walk.  The record keeps the
+    the whole walk's as a set (``FaceLattice``).  One component,
+    ``d != 1``, ``c = -1``, a one-vertex component (a loop or a coloop)
+    and any factor that fails those conditions give None, so that the
+    whole walk, and its failure details, decide every input that is not a
+    free sum of smooth Fano shapes; those conditions are read once per
+    distinct walk.  The factor walks are read from and kept in ``walks``,
+    the hull's table (``FanoPolytope._hull``).  The record keeps the
     factors (``Factor``: points, coordinates, the factor walk's record and
     the rows of ``D`` that lift its functionals), for the factors' face
     fans and the joined inverses.  The joins and their inverses are keyed
@@ -571,7 +568,6 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
     for k, i in enumerate(idx):
         positions.setdefault(_find(root, i), []).append(k)
     rows = dual[1]
-    walks: dict[tuple[Vector, ...], FaceLattice] = {}
     factors = []
     for r, pts in members.items():
         ks = positions[r]
@@ -579,20 +575,22 @@ def _free_sum_hull(verts: Sequence[Vector], seed: Seed) -> FaceLattice | None:
         vertices, points = zip(
             *sorted(((tuple(products[k][w] for k in ks), w) for w in pts), reverse=True)
         )
-        lattice = walks.get(vertices)
-        if lattice is None:
+        walk = walks.get(vertices)
+        if walk is None:
             where = {w: j for j, w in enumerate(points)}
             first = (tuple(where[idx[k]] for k in ks), (1,) * n, 1)
             share = (first, (1, identity_matrix(n)), tuple(zip(*vertices)))
-            lattice = walks[vertices] = _pivot_walk(vertices, n, share)[0]
-            if None in lattice.inverses or set(lattice.offsets) != {1}:
+            walk = walks[vertices] = _pivot_walk(vertices, n, walks, share)
+            if None in walk[0].inverses or set(walk[0].offsets) != {1}:
                 return None
-        factors.append(Factor(points, n, vertices, lattice, tuple(rows[k] for k in ks)))
-    parts = [[pts for pts, _ in _input_facets(f)] for f in factors]
-    joins = list(map(tuple, _joins(parts)))
-    order = sorted(range(len(joins)), key=joins.__getitem__)
-    facets = tuple(map(joins.__getitem__, order))
-    return FaceLattice(facets, (1,) * len(facets), tuple(factors), order)
+        factors.append(Factor(points, n, vertices, walk[0], tuple(rows[k] for k in ks)))
+    # each factor facet's points ascending: a join is then a merge of sorted runs
+    parts = [
+        [tuple(sorted(map(f.points.__getitem__, pts))) for pts in f.lattice.facets]
+        for f in factors
+    ]
+    facets = tuple(map(tuple, _joins(parts)))
+    return FaceLattice(facets, (1,) * len(facets), tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -669,10 +667,14 @@ class FanoPolytope:
         The first facet is found once (``_seed``); a free sum of smooth
         Fano shapes is joined from its factors' walks
         (``_free_sum_hull``), and every other input is walked whole from
-        that seed.  ``_pivot_walk`` gives the costs.
+        that seed.  All walks of the call share one table keyed by their
+        points, made here and dropped on return, so a point list is walked
+        at most once per hull and no walk is shared between polytopes.
+        ``_pivot_walk`` gives the costs.
         """
-        seed = _seed(self.vertices, self.dim)
-        return _free_sum_hull(self.vertices, seed) or _pivot_walk(self.vertices, self.dim, seed)[0]
+        verts, n, walks = self.vertices, self.dim, {}
+        seed = _seed(verts, n)
+        return _free_sum_hull(verts, seed, walks) or _pivot_walk(verts, n, walks, seed)[0]
 
     @cached_property
     def _shape(self) -> tuple[ConditionResult, ...]:
@@ -758,9 +760,11 @@ class FanoPolytope:
         read off as a vertex permutation by matching the two keys row by
         row.  F stops there, and the automorphism merges the classes of
         every facet and its image (union-find, each class rooted at its
-        least index); a facet whose class already holds an earlier facet
-        is skipped.  A facet that sets the best key never stops on its
-        own ties (those are its stabilizer), so it is searched in full.
+        least index; the image is found by its points, in a table of the
+        facets built at the first tie); a facet whose class already holds
+        an earlier facet is skipped.  A facet that sets the best key never
+        stops on its own ties (those are its stabilizer), so it is searched
+        in full.
         The cost is ``dim!`` sorts of the vertex images for each facet
         searched in full; a facet in the orbit of an earlier one takes
         the sorts up to its first tie and then one pass over the facets,
@@ -794,10 +798,9 @@ class FanoPolytope:
                     perm = [where[row] for row in map(best_order, best_images)]
                     if root is None:
                         root = list(range(len(facets)))
+                        place = {f: i for i, f in enumerate(facets)}
                     for i, f in enumerate(facets):
-                        # the facets are in index order: bisection finds the image
-                        image = tuple(sorted(map(perm.__getitem__, f)))
-                        _union(root, i, bisect_left(facets, image))
+                        _union(root, i, place[tuple(sorted(map(perm.__getitem__, f)))])
                     break
         if best is None:
             raise InternalInconsistencyError("a validated polytope has no facets")

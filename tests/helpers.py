@@ -16,7 +16,8 @@ ranks, determinants and inverses, a scan of every cone solved over
 random unimodular maps.  Nothing here reads the library's face data
 (its incidence masks, ``face_set`` or ``all_faces``); only
 ``fan.max_cones`` and ``fan.generators``, from which the face walk
-builds its own masks.
+builds its own masks.  It also holds inputs: smooth Fano non-products, and
+two point sets that are not simplicial and whose hulls nest walks deeply.
 """
 
 from fractions import Fraction
@@ -39,6 +40,31 @@ NON_PRODUCTS = {
         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 1), (0, 0, 0, 1), (0, 0, 0, -1)),
     ),
 }
+
+# A free sum of three point sets in dimension 8 that fails vertices_distinct
+# (B holds (0, 0, 1) twice), origin_interior and simplicial.
+SIXTEEN_POINTS = (
+    8,
+    tuple(a + (0,) * 5 for a in ((1, -1, 1), (-1, -1, 0), (-1, -1, -1), (0, -1, -1), (-1, -1, 1)))
+    + tuple(
+        (0,) * 3 + b + (0,) * 2
+        for b in ((1, 0, -1), (0, 0, -1), (0, 0, 1), (0, 0, 1), (1, 1, -1), (-1, -1, 0))
+    )
+    + tuple((0,) * 6 + c for c in ((1, 1), (-1, 1), (1, -1), (0, -1), (-1, -1))),
+)
+
+
+def twisted_lift(k):
+    """hexagon^k in dimension ``2k + 1``: each vertex ``v`` as ``(v, 0)``, but
+    the first as ``(v, 1)``, and the two points ``(0, ..., 0, +-1)``.  It
+    is not simplicial, and its facets hold non-simplicial ridges."""
+    base = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    n = 2 * k
+    # the vertices of the free sum hexagon^k, factor by factor
+    verts = [(0,) * (2 * j) + v + (0,) * (n - 2 * j - 2) + (0,) for j in range(k) for v in base]
+    verts[0] = verts[0][:n] + (1,)
+    verts += [(0,) * n + (1,), (0,) * n + (-1,)]
+    return FanoPolytope(n + 1, tuple(verts), f"twisted lift of hexagon^{k}")
 
 
 @cache

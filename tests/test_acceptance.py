@@ -251,7 +251,7 @@ def test_criterion_16_whole_walk_hexagon_power_five():
     # criteria 11 and 13 split the free sum; this one walks all of its facets
     p = construct("product(hexagon,hexagon,hexagon,hexagon,hexagon)")
     start = time.perf_counter()
-    lattice, normals = polytope._pivot_walk(p.vertices, p.dim)
+    lattice, normals = polytope._pivot_walk(p.vertices, p.dim, {})
     elapsed = time.perf_counter() - start
     facets, offsets, duals = lattice.facets, lattice.offsets, lattice.duals
     assert len(facets) == len(normals) == len(offsets) == len(duals) == 7776

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +30,7 @@ from helpers import (
     random_unimodular,
     rank_over_q,
     transformed_copy,
+    twisted_lift,
 )
 
 
@@ -46,7 +47,8 @@ class TestFacets:
         for p in (hexagon(), simplex(2), free_sum(simplex(1), simplex(1))):
             for _ in range(5):
                 q = transformed_copy(p, random_unimodular(2, rng), rng)
-                assert q.face_lattice.facets == hull_edges_by_angle(q.vertices)
+                # a free sum's facets come in the product order of its factors'
+                assert sorted(q.face_lattice.facets) == sorted(hull_edges_by_angle(q.vertices))
 
     def test_cross_polytope_has_four_facets(self):
         square = free_sum(simplex(1), simplex(1))
@@ -334,7 +336,7 @@ def test_analyze_decides_shape_and_report_once(monkeypatch):
 def whole_walk(p):
     """The facet walk on the whole polytope, called directly, so that no
     free sum is split into its factors."""
-    return polytope._pivot_walk(p.vertices, p.dim)
+    return polytope._pivot_walk(p.vertices, p.dim, {})
 
 
 def assert_walk_matches_oracle(p):
@@ -398,10 +400,10 @@ def carried_products(monkeypatch):
     points, last = [], {}
     seen = SimpleNamespace(divisors=[], products=0)
 
-    def recorded_walk(verts, n, seed=None):
+    def recorded_walk(verts, n, walks, seed=None):
         points.append(verts)
         try:
-            return walk(verts, n, seed)
+            return walk(verts, n, walks, seed)
         finally:
             points.pop()
 
@@ -503,7 +505,7 @@ class TestPivotAgainstScan:
 
 def splits(p):
     """True iff the hull of ``p`` is joined from its factors' walks."""
-    return polytope._free_sum_hull(p.vertices, polytope._seed(p.vertices, p.dim)) is not None
+    return polytope._free_sum_hull(p.vertices, polytope._seed(p.vertices, p.dim), {}) is not None
 
 
 class TestFreeSumHull:
@@ -533,9 +535,9 @@ class TestFreeSumHull:
         walks = []
         walk = polytope._pivot_walk
 
-        def recorded_walk(verts, n, seed=None):
+        def recorded_walk(verts, n, shared, seed=None):
             walks.append((n, len(verts)))
-            return walk(verts, n, seed)
+            return walk(verts, n, shared, seed)
 
         monkeypatch.setattr(polytope, "_pivot_walk", recorded_walk)
         p = construct("product(simplex:2,hexagon,simplex:1)")
@@ -636,11 +638,42 @@ class TestJoinedInversesOnDemand:
                 (tuple(range(p.dim + 1)),) * len(hull.facets),
                 (0,) * len(hull.offsets),
                 hull.factors,
-                hull.order,
             )
             bad.__dict__["inverses"] = (None,) * len(hull.facets)
             p.__dict__["_hull"] = bad
             assert validate_smooth_fano(p) == want and want.passed, p.name
+
+    def test_joined_facets_in_product_order(self):
+        """A joined record lists the joins of its factors' facets in the
+        product order of those facets, last factor fastest, and pairs each
+        with its inverse: it equals the whole walk's record as a set, though
+        on a seeded image not position by position."""
+        unsorted = 0
+        for p in self.members():
+            hull, whole = p._hull, whole_walk(p)[0]
+            joins = [
+                tuple(sorted(f.points[i] for f, pts in zip(hull.factors, choice) for i in pts))
+                for choice in product(*(f.lattice.facets for f in hull.factors))
+            ]
+            assert list(hull.facets) == joins, p.name
+            assert hull == whole and sorted(hull.facets) == list(whole.facets), p.name
+            unsorted += hull.facets != whole.facets
+        assert unsorted, "every member's joins came out sorted"
+
+    def test_equality_pairs_each_facet_with_its_dual_basis(self):
+        p = next(q for q in self.members() if q.name.endswith("~"))
+        hull = p._hull
+        facets, offsets, duals = hull.facets, hull.offsets, list(hull.duals)
+        shuffled = list(zip(facets, offsets, duals))
+        random.Random(3).shuffle(shuffled)
+        assert polytope.FaceLattice.walked(*map(tuple, zip(*shuffled))) == hull
+        d, rows = duals[0]
+        changed = duals[:]
+        changed[0] = d, (tuple(-x for x in rows[0]),) + rows[1:]
+        swapped = duals[:]
+        swapped[0], swapped[1] = duals[1], duals[0]
+        for other in (changed, swapped):
+            assert polytope.FaceLattice.walked(facets, offsets, tuple(other)) != hull
 
     def test_shape_scans_a_record_without_factors(self):
         p = construct("product(hexagon,hexagon)")
@@ -652,6 +685,48 @@ class TestJoinedInversesOnDemand:
         )
         extremal = validate_smooth_fano(p).conditions[5]
         assert extremal.name == "vertices_extremal" and not extremal.passed
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """Records the points of every ``_pivot_walk`` call, nested and factor
+    walks included, and the record it returns."""
+    calls = []
+    walk = polytope._pivot_walk
+
+    def recorded_walk(verts, n, walks, seed=None):
+        out = walk(verts, n, walks, seed)
+        calls.append((tuple(verts), out[0]))
+        return out
+
+    monkeypatch.setattr(polytope, "_pivot_walk", recorded_walk)
+    return calls
+
+
+def test_nested_walks_run_once_per_point_list(walked):
+    """Each point list is walked at most once per hull: the twisted lift of
+    hexagon^3 walks 217 distinct point lists, where walking every facet
+    one dimension down afresh took 7,021 walks, and its report is unchanged."""
+    report = validate_smooth_fano(twisted_lift(3))
+    assert [(c.name, c.detail) for c in report.conditions if not c.passed] == [
+        ("simplicial", "facet hyperplane with extra vertices, e.g. (0, 1, 2, 6, 7, 12, 13) + (18,)")
+    ]
+    assert len(walked) == len({verts for verts, _ in walked}) == 217
+
+
+@pytest.mark.parametrize(
+    "dim, verts",
+    [BAD_INPUTS["hexagon^2 plus a point"], (4, construct("product(hexagon,hexagon)").vertices)],
+    ids=["hexagon^2 plus a point", "hexagon^2"],
+)
+def test_fresh_polytopes_share_no_walk(walked, dim, verts):
+    """The walks are shared within one hull, never between two polytopes."""
+    FanoPolytope(dim, verts)._hull
+    first = walked[:]
+    walked.clear()
+    FanoPolytope(dim, verts)._hull
+    assert [v for v, _ in walked] == [v for v, _ in first] and walked
+    assert not {id(r) for _, r in first} & {id(r) for _, r in walked}
 
 
 @pytest.fixture
